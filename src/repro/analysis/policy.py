@@ -28,6 +28,7 @@ C5 ``derivability``     — fallback (§3.2.2): tokenize the query grammar
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 
 from repro.lang.earley import (
     candidate_fixpoint,
@@ -469,25 +470,43 @@ def _context_candidates(context_tokens, sql) -> list[str]:
         # the hole, the untrusted data never reaches this query at all
         if not with_hole:
             return []
-        survivors = []
-        for candidate in list(sql.nonterminals()) + sorted(sql.terminals()):
-            ok = all(
-                parse_sentential_form(
-                    sql,
-                    sql.start,
-                    [candidate if s == HOLE_TOKEN else s for s in form],
-                )
-                for form in with_hole
-            )
-            if ok:
-                survivors.append(candidate)
-        return survivors
+        before = _form_candidates.cache_info().hits
+        fits = [_form_candidates(form) for form in with_hole]
+        hits = _form_candidates.cache_info().hits - before
+        PERF.incr("policy.context_forms.hits", hits)
+        PERF.incr("policy.context_forms.misses", len(with_hole) - hits)
+        # every per-form list is in candidate order, so filtering the
+        # first one keeps the order of the all-forms loop it replaces
+        rest = [set(fit) for fit in fits[1:]]
+        return [
+            candidate
+            for candidate in fits[0]
+            if all(candidate in fit for fit in rest)
+        ]
     candidates = candidate_fixpoint(
         context_tokens,
         sql,
         allowed={context_tokens.start: [sql.start]},
     )
     return sorted(candidates.get(HOLE_TOKEN, ()))
+
+
+@lru_cache(maxsize=1024)
+def _form_candidates(form: tuple[str, ...]) -> tuple[str, ...]:
+    """The SQL symbols ``A`` for which ``form`` with its hole replaced by
+    ``A`` parses as a query, in candidate order (nonterminals, then
+    sorted terminals).  :func:`sql_grammar` is a process singleton, so
+    this is a pure function of the form."""
+    sql = sql_grammar()
+    return tuple(
+        candidate
+        for candidate in list(sql.nonterminals()) + sorted(sql.terminals())
+        if parse_sentential_form(
+            sql,
+            sql.start,
+            [candidate if s == HOLE_TOKEN else s for s in form],
+        )
+    )
 
 
 #: placeholder for *other* untrusted pieces when computing one piece's

@@ -28,6 +28,8 @@ import itertools
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
+from repro.obs.metrics import PERF
+
 from .charset import CharSet
 
 #: Taint labels (paper §2.2).
@@ -91,6 +93,9 @@ Rhs = tuple[Symbol, ...]
 #: because samples are plain strings (no nonterminal names leak) and the
 #: sampling BFS depends only on what the shape fingerprint covers.
 _SHARED_SAMPLES: dict[tuple[str, int, int, int], list[str]] = {}
+
+#: Steps (queue pops) one :meth:`Grammar.sample_strings` walk may take.
+_SAMPLE_STEPS = 20000
 
 
 def is_terminal(symbol: Symbol) -> bool:
@@ -625,7 +630,8 @@ class Grammar:
         productions = self.productions
         steps = 0
         seen_count = 0
-        while queue and len(results) < limit and steps < 20000:
+        cut = False
+        while queue and len(results) < limit and steps < _SAMPLE_STEPS:
             steps += 1
             form, scan = pop()
             # find first nonterminal / charset
@@ -640,6 +646,14 @@ class Grammar:
                 text = "".join(form)
                 if len(text) <= max_len and text not in results:
                     results.append(text)
+                continue
+            if seen_count + 1 >= _SAMPLE_STEPS:
+                # Step budget cut: every step pops exactly one entry, so
+                # the entry pushed N-th after the root is popped at step
+                # N + 1, and one pushed now would be popped after the
+                # last step.  Only the completed forms already queued
+                # can still contribute, so stop building new ones.
+                cut = True
                 continue
             symbol = form[idx]
             if type(symbol) is CharSet:
@@ -674,6 +688,8 @@ class Grammar:
                     if len(seen_forms) != seen_count:
                         seen_count += 1
                         push((expanded, idx))
+        if cut:
+            PERF.incr("samples.budget_cuts")
         self._memo_set(memo_key, results)
         if shared_key is not None:
             if len(_SHARED_SAMPLES) > 4096:

@@ -260,6 +260,9 @@ CACHE_RATE_ROWS = (
     ("verdict memo", "policy.verdict_cache.hits",
      "policy.verdict_cache.misses", ()),
     ("parse memory", "parse.memory_hits", "parse.files", ()),
+    ("include names", "include.names.hits", "include.names.builds", ()),
+    ("sql context forms", "policy.context_forms.hits",
+     "policy.context_forms.misses", ()),
     ("disk ast", "disk.ast.hits", "disk.ast.misses", ()),
     ("disk page", "disk.page.hits", "disk.page.misses", ()),
     ("server page memo", "server.pages.replayed",

@@ -16,13 +16,26 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.lang.grammar import Grammar, Nonterminal
 from repro.obs.metrics import PERF
 
 
-def _prefilter_enabled() -> bool:
-    return os.environ.get("REPRO_INCLUDE_PREFILTER", "1") != "0"
+def _relative(path: str, base: str) -> str | None:
+    """``PurePosixPath(path).relative_to(base).as_posix()`` over the
+    normalized string forms pathlib produces, or None where pathlib
+    raises ``ValueError``: ``base`` must equal ``path`` or be one of its
+    parents (``.`` is the last parent of every relative path)."""
+    if path == base:
+        return "."
+    if base == ".":
+        return None if path.startswith("/") else path
+    prefix = base if base.endswith("/") else base + "/"
+    if path.startswith(prefix):
+        return path[len(prefix):]
+    return None
 
 
 class IncludeResolver:
@@ -35,25 +48,42 @@ class IncludeResolver:
                     if filename.endswith((".php", ".inc", ".html", ".tpl")):
                         self._files.append(Path(dirpath) / filename)
         self._files.sort()
+        # the layout is fixed for the resolver's lifetime: path strings
+        # and project-relative names are computed once, and each
+        # directory's name table is built at most once
+        self._paths = [file.as_posix() for file in self._files]
+        root = self.root.as_posix()
+        self._root_names = [_relative(path, root) for path in self._paths]
+        self._tables: dict[str, Mapping[str, Path]] = {}
 
     def project_files(self) -> list[Path]:
         return list(self._files)
 
-    def candidate_names(self, current_dir: Path) -> dict[str, Path]:
+    def candidate_names(self, current_dir: Path) -> Mapping[str, Path]:
         """Every name a project file could be referred to by from
-        ``current_dir``: project-relative, current-dir-relative, bare."""
+        ``current_dir``: project-relative, current-dir-relative, bare.
+
+        The table depends only on the file list, the root and
+        ``current_dir``, so it is built once per directory and shared
+        read-only; earlier names win, in sorted-file order."""
+        current = Path(current_dir).as_posix()
+        table = self._tables.get(current)
+        if table is not None:
+            PERF.incr("include.names.hits")
+            return table
+        PERF.incr("include.names.builds")
         names: dict[str, Path] = {}
-        for file in self._files:
-            rel_root = file.relative_to(self.root).as_posix()
+        for file, path, rel_root in zip(
+            self._files, self._paths, self._root_names
+        ):
             names.setdefault(rel_root, file)
             names.setdefault("./" + rel_root, file)
-            try:
-                rel_cur = file.relative_to(current_dir).as_posix()
+            rel_cur = _relative(path, current)
+            if rel_cur is not None:
                 names.setdefault(rel_cur, file)
                 names.setdefault("./" + rel_cur, file)
-            except ValueError:
-                pass
-        return names
+        table = self._tables[current] = MappingProxyType(names)
+        return table
 
     def resolve(
         self,
@@ -93,27 +123,23 @@ class IncludeResolver:
             resolved = sorted(set(exact))
         else:
             scope = grammar.subgrammar(path_nt)
-            candidates = names.items()
-            if _prefilter_enabled():
-                # Sound pruning: every string of the argument language
-                # carries the forced affixes, so a candidate without them
-                # cannot be generated and the exact test can be skipped.
-                summary = scope.affix_summary(path_nt)
-                if summary is None:
-                    candidates = []
-                else:
-                    prefix, suffix, min_len = summary
-                    candidates = [
-                        (text, file)
-                        for text, file in candidates
-                        if len(text) >= min_len
-                        and text.startswith(prefix)
-                        and text.endswith(suffix)
-                    ]
-                PERF.incr(
-                    "include.prefilter.pruned", len(names) - len(candidates)
-                )
-                PERF.incr("include.prefilter.kept", len(candidates))
+            # Sound pruning: every string of the argument language
+            # carries the forced affixes, so a candidate without them
+            # cannot be generated and the exact test can be skipped.
+            summary = scope.affix_summary(path_nt)
+            if summary is None:
+                candidates = []
+            else:
+                prefix, suffix, min_len = summary
+                candidates = [
+                    (text, file)
+                    for text, file in names.items()
+                    if len(text) >= min_len
+                    and text.startswith(prefix)
+                    and text.endswith(suffix)
+                ]
+            PERF.incr("include.prefilter.pruned", len(names) - len(candidates))
+            PERF.incr("include.prefilter.kept", len(candidates))
             matches = {
                 file
                 for text, file in candidates

@@ -148,3 +148,45 @@ class TestSpanIdStability:
         second = ids_by_page()
         assert first and first == second
         assert all(ids for ids in first.values())
+
+
+#: the work-cut counters: include name-table builds and reuses, sampling
+#: walks cut by the step budget, SQL context-form memo lookups
+WORK_CUT_COUNTERS = (
+    "include.names.builds",
+    "include.names.hits",
+    "samples.budget_cuts",
+    "policy.context_forms.hits",
+    "policy.context_forms.misses",
+)
+
+
+class TestWorkCutCounters:
+    @pytest.mark.parametrize("app", ["e107", "warp_cms"])
+    def test_counters_repeat_across_serial_runs(self, app, tmp_path):
+        build_app(tmp_path, app)
+
+        def counters():
+            proc = run_cli(
+                str(tmp_path / app), "--json", "--audit", "--jobs", "1",
+                "--profile",
+            )
+            assert proc.returncode in (0, 1, 3), proc.stderr
+            found = json.loads(proc.stdout)["perf"]["counters"]
+            picked = {name: found.get(name, 0) for name in WORK_CUT_COUNTERS}
+            return picked, proc.stderr
+
+        first, table = counters()
+        second, _ = counters()
+        assert first == second
+        assert first["include.names.builds"] > 0
+        assert "include.names.builds" in table
+        if app == "e107":
+            # one table per directory, reused at every other include
+            assert first["include.names.hits"] > first["include.names.builds"]
+        else:
+            # warp's listing pages share two context forms
+            assert first["policy.context_forms.misses"] == 2
+            assert first["policy.context_forms.hits"] > 0
+            assert first["samples.budget_cuts"] > 0
+            assert "sql context forms" in table

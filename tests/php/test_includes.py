@@ -1,5 +1,9 @@
 """Tests for dynamic-include resolution (paper §4)."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.analysis.absdom import GrammarBuilder
 from repro.php.includes import IncludeResolver
 
@@ -28,6 +32,109 @@ class TestLayoutScan:
         names = resolver.candidate_names(tmp_path)
         assert "sub/lib.php" in names
         assert "./sub/lib.php" in names
+
+
+def pathlib_names(resolver, current_dir):
+    """The name table as ``Path.relative_to`` builds it: the reference
+    for the string-built table, first name wins in sorted-file order."""
+    names = {}
+    for file in resolver.project_files():
+        rel_root = file.relative_to(resolver.root).as_posix()
+        names.setdefault(rel_root, file)
+        names.setdefault("./" + rel_root, file)
+        try:
+            rel_cur = file.relative_to(current_dir).as_posix()
+            names.setdefault(rel_cur, file)
+            names.setdefault("./" + rel_cur, file)
+        except ValueError:
+            pass
+    return names
+
+
+LAYOUT = [
+    "index.php", "lib.php", "sub/lib.php", "sub/page.php",
+    "sub/deep/lib.php", "sub/deep/x.inc", "subway/lib.php", "lang/lan_en.php",
+]
+
+
+class TestNameTables:
+    def assert_same_table(self, resolver, current_dir):
+        table = resolver.candidate_names(current_dir)
+        # items() compares insertion order too, i.e. the first-wins order
+        assert list(table.items()) == list(
+            pathlib_names(resolver, Path(current_dir)).items()
+        )
+
+    def test_nested_directories(self, tmp_path):
+        resolver = make_project(tmp_path, LAYOUT)
+        for current in (
+            "", "sub", "sub/deep", "subway", "lang", "missing", "sub/lib.php"
+        ):
+            self.assert_same_table(resolver, tmp_path / current)
+
+    def test_current_dir_outside_root(self, tmp_path):
+        resolver = make_project(tmp_path / "app", LAYOUT)
+        for current in (
+            tmp_path, tmp_path / "other", Path("/"), Path("rel"), Path(".")
+        ):
+            self.assert_same_table(resolver, current)
+        names = resolver.candidate_names(tmp_path / "other")
+        assert "sub/lib.php" in names and "lib.php" in names
+        assert "app/lib.php" not in names
+
+    def test_relative_root(self, tmp_path, monkeypatch):
+        make_project(tmp_path, LAYOUT)
+        monkeypatch.chdir(tmp_path)
+        resolver = IncludeResolver(".")
+        assert Path(".").parts == ()
+        for current in (".", "sub", "sub/deep", "..", tmp_path):
+            self.assert_same_table(resolver, current)
+
+    def test_resolved_paths(self, tmp_path):
+        make_project(tmp_path, LAYOUT)
+        root = (tmp_path / "sub" / "..").resolve()
+        resolver = IncludeResolver(root)
+        for current in (root, (root / "sub" / "deep").resolve()):
+            self.assert_same_table(resolver, current)
+
+    def test_resolve_unchanged(self, tmp_path, monkeypatch):
+        """resolve() over the shared table answers as over a fresh
+        pathlib table for literal, affix-pattern and sigma-star paths."""
+        resolver = make_project(tmp_path, LAYOUT)
+        builder = GrammarBuilder()
+        arguments = [
+            builder.literal("lib.php"),
+            builder.literal("./deep/x.inc"),
+            builder.concat_all(
+                [builder.literal("lang/lan_"), builder.any_string(),
+                 builder.literal(".php")]
+            ),
+            builder.concat_all([builder.any_string(), builder.literal("lib.php")]),
+            builder.any_string(),
+        ]
+        for current in (tmp_path, tmp_path / "sub", tmp_path / "sub" / "deep"):
+            got = [
+                resolver.resolve(builder.grammar, value.nt, current)
+                for value in arguments
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    IncludeResolver, "candidate_names", pathlib_names
+                )
+                expected = [
+                    resolver.resolve(builder.grammar, value.nt, current)
+                    for value in arguments
+                ]
+            assert got == expected
+
+    def test_table_is_built_once_and_read_only(self, tmp_path):
+        resolver = make_project(tmp_path, LAYOUT)
+        table = resolver.candidate_names(tmp_path / "sub")
+        assert resolver.candidate_names(tmp_path / "sub") is table
+        assert resolver.candidate_names(Path(f"{tmp_path}/sub/")) is table
+        with pytest.raises(TypeError):
+            table["evil.php"] = tmp_path / "evil.php"
+        assert "evil.php" not in resolver.candidate_names(tmp_path / "sub")
 
 
 class TestResolution:

@@ -96,19 +96,8 @@ def analysis_wall(document: dict) -> float | None:
     return document.get("perf", {}).get("timers", {}).get("run.pages_wall")
 
 
-#: farm counters worth surfacing per app (work stealing, cascade
-#: splitting, the include/parse pre-pass, and the shared memo sections)
-FARM_COUNTERS = (
-    "farm.tasks.stolen",
-    "farm.pages.split",
-    "farm.tasks.cascades",
-    "farm.prepass.files_parsed",
-    "farm.prepass.files_shared",
-    "farm.prepass.files_discovered",
-    "farm.verdict.shared_hits",
-    "farm.image.shared_hits",
-    "farm.ast.shared_hits",
-)
+#: farm counters worth surfacing per app
+FARM_COUNTERS = ("farm.tasks.stolen",)
 
 
 def bench_daemon(app_root: Path, serial_doc: dict) -> dict:

@@ -9,10 +9,9 @@ verdict is stamped with a confidence level and the report carries the
 deduplicated diagnostics for unmodeled or widened constructs.
 
 Pages are independent ``main``\\ s (paper §5.3), which makes the driver
-embarrassingly parallel: :func:`run_pages` fans work out to the
-analysis farm (:mod:`repro.farm` — persistent work-stealing workers, a
-parallel include/parse pre-pass, and cross-worker memo sharing) when
-``jobs > 1`` and merges the per-page :class:`PageResult` records back
+embarrassingly parallel: :func:`run_pages` fans pages out to the
+analysis farm (:mod:`repro.farm` — persistent work-stealing workers)
+when ``jobs > 1`` and merges the per-page :class:`PageResult` records back
 **in page order**, so the aggregate report is deterministic —
 byte-identical to a serial run — regardless of worker scheduling.
 ``jobs=1`` keeps the exact single-process path (shared parse cache and
@@ -218,7 +217,7 @@ def _relative_deps(dep_files, project_root: Path) -> list[str]:
     return sorted(rels)
 
 
-def _phase1_page(
+def _analyze_one_page(
     project_root: Path,
     page: str | Path,
     audit: bool,
@@ -226,13 +225,8 @@ def _phase1_page(
     resolver: IncludeResolver,
     disk_cache: DiskCache | None,
     policies=None,
-):
-    """Phase 1 (string-taint abstract interpretation) of one page.
-
-    Returns ``(analysis_result, string_seconds)`` — the live result the
-    phase-2 checks consume.  Split out of :func:`_analyze_one_page` so
-    the farm can ship the resulting ``(grammar, hotspots)`` pair to
-    other workers as stealable cascade tasks."""
+) -> PageResult:
+    """The two-phase analysis of a single entry page."""
     started = time.perf_counter()
     trail = AuditTrail() if audit else None
     analysis = StringTaintAnalysis(
@@ -252,41 +246,7 @@ def _phase1_page(
         )
         phase1_span.set("grammar_productions", result.grammar.num_productions())
     PERF.incr("pages.analyzed")
-    return result, time.perf_counter() - started
-
-
-def _check_one(grammar, spot, policies):
-    """One phase-2 cascade: ``(report, scope_nonterminals, scope_productions)``.
-
-    The unit the farm steals: a function of the (picklable) grammar and
-    hotspot alone, so the verdict is identical wherever it runs."""
-    scope = grammar.subgrammar(spot.query.nt)
-    nonterminals = len(scope.productions)
-    productions = scope.num_productions()
-    PERF.gauge("grammar.hotspot_productions.max", productions)
-    return _check_spot(grammar, spot, policies), nonterminals, productions
-
-
-def _audit_result(result, audit: bool) -> AuditReport | None:
-    if not audit:
-        return None
-    with TRACE.span("audit"), TIMELINE.phase("audit"):
-        return audit_page(result)
-
-
-def _analyze_one_page(
-    project_root: Path,
-    page: str | Path,
-    audit: bool,
-    parse_cache: dict,
-    resolver: IncludeResolver,
-    disk_cache: DiskCache | None,
-    policies=None,
-) -> PageResult:
-    """The two-phase analysis of a single entry page."""
-    result, string_seconds = _phase1_page(
-        project_root, page, audit, parse_cache, resolver, disk_cache, policies
-    )
+    string_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     reports: list[HotspotReport] = []
@@ -295,17 +255,19 @@ def _analyze_one_page(
     with TRACE.span("phase2") as phase2_span:
         with PERF.timer("phase2.checks"), TIMELINE.phase("phase2"):
             for spot in result.hotspots:
-                report, scope_nts, scope_prods = _check_one(
-                    result.grammar, spot, policies
-                )
-                nonterminals += scope_nts
-                productions += scope_prods
-                reports.append(report)
+                scope = result.grammar.subgrammar(spot.query.nt)
+                nonterminals += len(scope.productions)
+                scope_productions = scope.num_productions()
+                productions += scope_productions
+                PERF.gauge("grammar.hotspot_productions.max", scope_productions)
+                reports.append(_check_spot(result.grammar, spot, policies))
         phase2_span.set("hotspots", len(reports))
     check_seconds = time.perf_counter() - started
 
-    page_audit = _audit_result(result, audit)
-    if page_audit is not None:
+    page_audit = None
+    if audit:
+        with TRACE.span("audit"), TIMELINE.phase("audit"):
+            page_audit = audit_page(result)
         # a hotspot's verdict is only as trustworthy as the weakest
         # construct on its page's include closure
         for report in reports:
@@ -451,11 +413,10 @@ def run_pages(
     ``jobs=1`` is today's exact serial path: pages run in-process and
     share one parse cache and include resolver.  ``jobs>1`` fans work
     out to the analysis farm (:mod:`repro.farm`): a pool of persistent
-    work-stealing workers, an include/parse pre-pass warming a shared
-    AST memo, and cross-worker sharing of verdict and FST-image memos
-    through a content-addressed memo service.  Because a page's analysis
-    is a pure function of the project tree — and every shared memo entry
-    is keyed by content — the per-page results are identical either way,
+    work-stealing workers, each running the serial per-page path with
+    its own content-addressed memos.  Because a page's analysis is a
+    pure function of the project tree — and every memo entry is keyed by
+    content — the per-page results are identical either way,
     and merging in input order makes the whole run order-insensitive to
     worker completion.
 
@@ -521,7 +482,6 @@ def run_pages(
                 policies=policies,
                 profile=profile,
                 epoch=epoch,
-                disk_cache=disk_cache,
             )
     finally:
         if owned is not None:

@@ -324,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
             [r.timeline for r in results],
             TIMELINE.drain_driver_spans(),
             attrs={"root": str(root), "jobs": args.jobs},
-            aux_payloads=TIMELINE.drain_adopted(),
         )
         obs_timeline.write_timeline(args.timeline_out, timeline)
         log.info(

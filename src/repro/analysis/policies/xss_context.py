@@ -140,38 +140,59 @@ def enumerate_skeletons(grammar, root) -> tuple[list[str], bool]:
     made exact enumeration impossible — callers must then fall back to
     the ``unknown`` context.  Character-class symbols are replaced by
     NEUTRAL so lexing of the partial skeletons can still proceed.
+
+    Stack entries share structure with the entry they were expanded
+    from: the prefix is a ``(text, parent)`` chain plus its length, the
+    pending symbols a ``(symbol, tail)`` cons chain.  A push costs the
+    new text piece or the new rule's symbols, never a copy of the whole
+    prefix or of the pending tail, and a string is built only for a
+    finished skeleton (DESIGN §5g).
     """
     results: list[str] = []
     complete = True
-    stack: list[tuple[str, tuple]] = [("", (root,))]
+    productions = grammar.productions
+    stack: list[tuple] = [(None, 0, (root, None))]
     steps = 0
     while stack:
         steps += 1
         if steps > MAX_STEPS or len(results) > MAX_SKELETONS:
             return results, False
-        prefix, symbols = stack.pop()
-        if len(prefix) > MAX_SKELETON_LEN:
+        prefix, length, symbols = stack.pop()
+        if length > MAX_SKELETON_LEN:
             complete = False
             continue
-        if not symbols:
-            results.append(prefix)
+        if symbols is None:
+            results.append(_chain_text(prefix))
             continue
-        head, rest = symbols[0], symbols[1:]
+        head, rest = symbols
         if isinstance(head, Lit):
-            stack.append((prefix + head.text, rest))
+            stack.append(((head.text, prefix), length + len(head.text), rest))
         elif isinstance(head, Nonterminal):
-            rules = grammar.productions.get(head, ())
+            rules = productions.get(head, ())
             if not rules:
                 continue  # severed nonterminal: dead derivation
             for rhs in rules:
-                stack.append((prefix, tuple(rhs) + rest))
+                tail = rest
+                for symbol in reversed(rhs):
+                    tail = (symbol, tail)
+                stack.append((prefix, length, tail))
         elif isinstance(head, CharSet):
             complete = False
-            stack.append((prefix + NEUTRAL, rest))
+            stack.append(((NEUTRAL, prefix), length + len(NEUTRAL), rest))
         else:  # pragma: no cover - no other symbol kinds exist
             complete = False
-            stack.append((prefix, rest))
+            stack.append((prefix, length, rest))
     return results, complete
+
+
+def _chain_text(prefix) -> str:
+    """The string a ``(text, parent)`` prefix chain spells."""
+    parts = []
+    while prefix is not None:
+        text, prefix = prefix
+        parts.append(text)
+    parts.reverse()
+    return "".join(parts)
 
 
 def lex_marker_contexts(text: str) -> set[str]:

@@ -100,16 +100,6 @@ class VerdictCache:
 #: parallel runs get one per worker process.
 VERDICT_CACHE = VerdictCache()
 
-#: Farm hook: a :class:`repro.farm.memo.VerdictMemo` in worker
-#: processes, ``None`` everywhere else.  Consulted on local-memo misses
-#: and fed on local computes, under the *same* content-addressed key as
-#: :data:`VERDICT_CACHE` — so a shared verdict is exactly what the local
-#: cascade would have produced.  A shared hit still counts as a local
-#: ``policy.verdict_cache.misses`` (plus ``farm.verdict.shared_hits``),
-#: keeping the hits+misses lookup total scheduling-invariant.
-SHARED_VERDICTS = None
-
-
 def check_hotspot(
     grammar: Grammar,
     hotspot: Hotspot,
@@ -156,29 +146,14 @@ def check_hotspot(
             _report_from_cached(cached, report, order)
         else:
             PERF.incr("policy.verdict_cache.misses")
-            shared = (
-                SHARED_VERDICTS.fetch(key)
-                if SHARED_VERDICTS is not None
-                else None
-            )
-            if shared is not None:
-                span.set("verdict_cache", "shared-hit")
-                if memo_phase is not None:
-                    memo_phase.setdefault("meta", {})["outcome"] = "shared-hit"
-                cache.put(key, shared)
-                _report_from_cached(shared, report, order)
-            else:
-                span.set("verdict_cache", "miss")
-                if memo_phase is not None:
-                    memo_phase.setdefault("meta", {})["outcome"] = "miss"
-                with PERF.timer("phase2.cascade"), TIMELINE.phase(
-                    f"cascade:{namespace or 'sql'}"
-                ):
-                    (cascade or _run_cascade)(scope, root, hotspot, report)
-                cached_value = _cached_from_report(report, order)
-                cache.put(key, cached_value)
-                if SHARED_VERDICTS is not None:
-                    SHARED_VERDICTS.publish(key, cached_value)
+            span.set("verdict_cache", "miss")
+            if memo_phase is not None:
+                memo_phase.setdefault("meta", {})["outcome"] = "miss"
+            with PERF.timer("phase2.cascade"), TIMELINE.phase(
+                f"cascade:{namespace or 'sql'}"
+            ):
+                (cascade or _run_cascade)(scope, root, hotspot, report)
+            cache.put(key, _cached_from_report(report, order))
         # provenance is attached *after* both paths, from the hitting
         # page's grammar: cached verdicts re-bind to this page's source
         # sites and sanitizer calls exactly like witnesses re-bind to

@@ -37,13 +37,6 @@ from .values import ArrVal, ObjVal, StrVal, Value
 
 MAX_CALL_DEPTH = 8
 
-#: Farm hook: a :class:`repro.farm.memo.AstMemo` in worker processes,
-#: ``None`` everywhere else.  ASTs are keyed by source bytes + path
-#: (:meth:`DiskCache.ast_key`), so a shared entry is exactly what a
-#: local parse would produce — sharing changes when a tree is parsed,
-#: never what it contains.
-SHARED_ASTS = None
-
 log = logging.getLogger(__name__)
 
 
@@ -252,8 +245,7 @@ class StringTaintAnalysis:
         return tree
 
     def _parse_uncached(self, path: Path) -> tuple[ast.File | None, str | None]:
-        """Read + parse one file, consulting the on-disk AST cache (and,
-        in farm workers, the cross-process shared AST memo)."""
+        """Read + parse one file, consulting the on-disk AST cache."""
         try:
             data = path.read_bytes()
         except OSError as exc:
@@ -265,11 +257,6 @@ class StringTaintAnalysis:
             if entry is not None:
                 TRACE.annotate("cache", "disk")
                 return entry
-        if SHARED_ASTS is not None:
-            entry = SHARED_ASTS.fetch(ast_key)
-            if entry is not None:
-                TRACE.annotate("cache", "shared")
-                return entry
         TRACE.annotate("cache", "miss")
         try:
             with PERF.timer("parse"):
@@ -280,8 +267,6 @@ class StringTaintAnalysis:
         PERF.incr("parse.files")
         if self.disk_cache is not None:
             self.disk_cache.store("ast", ast_key, (tree, error))
-        if SHARED_ASTS is not None:
-            SHARED_ASTS.publish(ast_key, (tree, error))
         return tree, error
 
     def _interpret_file(self, tree: ast.File, env: Env) -> None:
@@ -1246,42 +1231,3 @@ class StringTaintAnalysis:
             )
         )
 
-
-def prepass_parse_file(path: Path, disk_cache=None) -> tuple[str, ast.File | None]:
-    """Parse one file for the farm's include/parse pre-pass.
-
-    Returns ``(outcome, tree)``: ``"shared"`` when the shared AST memo
-    already holds the entry (the worker that published it already
-    reported the file's include discoveries, so no tree travels back),
-    ``"parsed"`` after a successful parse-and-publish, and ``"error"``
-    for unreadable or unparseable files (the per-page analysis
-    re-discovers and *reports* those errors itself; the pre-pass only
-    wants the happy-path trees warm).  The tree lets the caller walk the
-    file's static includes and extend the pre-pass to the dependency
-    closure.
-
-    Counter note: a pre-pass parse increments the same ``parse`` timers
-    and ``parse.files`` counter a page-analysis parse would — the page
-    that later consumes the shared tree skips its own parse, so the
-    batch total stays what a serial run records.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return "error", None
-    key = DiskCache.ast_key(data, str(path))
-    if SHARED_ASTS is not None and SHARED_ASTS.has(key):
-        return "shared", None
-    entry = disk_cache.load("ast", key) if disk_cache is not None else None
-    if entry is None:
-        try:
-            with PERF.timer("parse"):
-                entry = parse(data.decode("utf-8"), str(path)), None
-        except (PhpParseError, ValueError) as exc:
-            entry = None, str(exc)
-        PERF.incr("parse.files")
-        if disk_cache is not None:
-            disk_cache.store("ast", key, entry)
-    if SHARED_ASTS is not None:
-        SHARED_ASTS.publish(key, entry)
-    return ("parsed", entry[0]) if entry[0] is not None else ("error", None)

@@ -1,29 +1,21 @@
 """The work-stealing analysis farm (parallel execution layer).
 
-``run_pages(jobs>1)`` fans work out to a pool of persistent worker
-processes at three granularities — include/parse pre-pass chunks, entry
-pages, and individual phase-2 cascades — over per-worker task queues
-with real work stealing (an idle worker drains its victims' queues).
-Cross-worker state is shared through a content-addressed memo service
-(:mod:`repro.farm.memo`): grammar-fingerprint verdicts, FST-image
-recipes, and parsed ASTs published by one worker are consumed by every
-other, so the farm pays each cascade / image construction / parse once
-per *content*, like a serial run does, instead of once per process.
+``run_pages(jobs>1)`` fans entry pages out to a pool of persistent
+worker processes over per-worker task queues with real work stealing
+(an idle worker drains its victims' queues).  Each worker runs the same
+per-page path a serial run does and keeps its own content-addressed
+verdict and image memos.
 
 The driver (:class:`repro.farm.driver.AnalysisFarm`) merges results in
 page order, so ``--jobs N`` output is byte-identical to serial; see
-DESIGN.md §5k for the soundness argument.
+DESIGN.md §5k for the argument.
 """
 
 from .driver import AnalysisFarm
-from .memo import MemoService, MemoStore, SharedMemoClient
 from .scheduler import FarmTask, WorkStealingScheduler
 
 __all__ = [
     "AnalysisFarm",
     "FarmTask",
-    "MemoService",
-    "MemoStore",
-    "SharedMemoClient",
     "WorkStealingScheduler",
 ]

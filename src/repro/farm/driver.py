@@ -1,36 +1,30 @@
-"""The farm driver: persistent workers, task fan-out, page-order merge.
+"""The farm driver: persistent workers, page fan-out, page-order merge.
 
 :class:`AnalysisFarm` owns the pool — one task queue per worker, one
-shared result queue, a stop event, and (unless ``REPRO_FARM_MEMO=0``)
-the :class:`~repro.farm.memo.MemoService` every worker publishes to.
-Workers are plain daemon processes running
-:func:`repro.farm.workers.farm_worker_main`; they survive across
-batches, so a long-lived caller (the analysis daemon) pays fork and
-warm-up once and shares one pool across every resident project.
+shared result queue and a stop event.  Workers are plain daemon
+processes running :func:`repro.farm.workers.farm_worker_main`; they
+survive across batches, so a long-lived caller (the analysis daemon)
+pays fork and warm-up once and shares one pool across every resident
+project.
 
-:meth:`map_pages` runs one batch: an optional include/parse pre-pass
-over the entry pages' dependency closure — seeded with the pages
-themselves and extended breadth-first as parse tasks report their
-static include targets (``REPRO_FARM_PREPASS=0`` disables) — then the
-entry pages, placed LPT-first by :class:`WorkStealingScheduler` with
-runtime stealing between the workers themselves.  Pages that report
-many hotspots come back as phase-1 partials plus a published
-``(grammar, hotspots)`` blob; the driver fans the hotspots back out as
-stealable ``cascade`` tasks and reassembles the page in hotspot order
-(``REPRO_FARM_SPLIT=<n>`` tunes the threshold, ``0`` disables).
+:meth:`map_pages` runs one batch: the entry pages, placed LPT-first by
+:class:`WorkStealingScheduler` (costed by file size) with runtime
+stealing between the workers themselves.
 
-Determinism: results are merged **in page order**, cascade reports are
-reattached **in hotspot order**, and every per-task perf delta is merged
-into the driver's recorder — so output documents and the telemetry
-invariants (hits+misses totals, pages.analyzed) are byte-identical to a
-serial run regardless of which worker ran what, when.
+Determinism: results are merged **in page order** and every per-task
+perf delta is merged into the driver's recorder — so output documents
+and the telemetry invariants (hits+misses totals, pages.analyzed) are
+byte-identical to a serial run regardless of which worker ran what,
+when.
 
 Failure isolation: every task and result envelope is tagged with its
-batch id.  When a batch aborts, its undispatched tasks are drained and
-its published blobs dropped; envelopes that workers were still
-producing are discarded by the next batch's collect loop (counted as
-``farm.envelopes.stale_dropped``), so a failed request never leaks
-results into a later batch — or a later tenant.
+batch id.  When a batch aborts, its undispatched tasks are drained;
+envelopes that workers were still producing are discarded by the next
+batch's collect loop (counted as ``farm.envelopes.stale_dropped``), so a
+failed request never leaks results into a later batch — or a later
+tenant.  A worker that died (killed, out of memory) is reported by
+:meth:`AnalysisFarm.healthy`; the daemon replaces such a farm before
+its next batch.
 """
 
 from __future__ import annotations
@@ -45,23 +39,8 @@ from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE
 from repro.obs.trace import TRACE
 
-from .memo import MemoService, SharedMemoClient
 from .scheduler import FarmTask, WorkStealingScheduler
-from .workers import BatchConfig, _profile_ipc, farm_worker_main
-
-
-def _env_flag(name: str, default: str = "1") -> bool:
-    return os.environ.get(name, default) != "0"
-
-
-def _split_threshold() -> int:
-    raw = os.environ.get("REPRO_FARM_SPLIT", "")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 3
+from .workers import BatchConfig, farm_worker_main
 
 
 def _file_cost(path: Path) -> float:
@@ -72,7 +51,7 @@ def _file_cost(path: Path) -> float:
 
 
 class AnalysisFarm:
-    """A persistent work-stealing worker pool plus its memo service.
+    """A persistent work-stealing worker pool.
 
     Batches are serialized by an internal lock — concurrent daemon
     clients queue up rather than interleave task streams — but the pool
@@ -83,9 +62,6 @@ class AnalysisFarm:
     def __init__(self, jobs: int) -> None:
         self.jobs = max(1, jobs)
         self._ctx = multiprocessing.get_context()
-        self.memo_service = MemoService() if _env_flag("REPRO_FARM_MEMO") else None
-        store = self.memo_service.store if self.memo_service else None
-        self._client = SharedMemoClient(store)
         self._batch_lock = threading.Lock()
         self._batch_counter = 0
         self._stop = self._ctx.Event()
@@ -95,13 +71,7 @@ class AnalysisFarm:
         for index in range(self.jobs):
             process = self._ctx.Process(
                 target=farm_worker_main,
-                args=(
-                    index,
-                    self._task_queues,
-                    self._result_queue,
-                    self._stop,
-                    store,
-                ),
+                args=(index, self._task_queues, self._result_queue, self._stop),
                 daemon=True,
                 name=f"farm-worker-{index}",
             )
@@ -121,18 +91,17 @@ class AnalysisFarm:
         policies=None,
         profile: bool = False,
         epoch: int = 0,
-        disk_cache=None,
     ) -> list:
         """Analyze ``pages`` on the farm; results in input order."""
         with self._batch_lock:
             return self._run_batch(
                 Path(project_root), pages, audit, cache_dir, cache_max_mb,
-                project_state, policies, profile, epoch, disk_cache,
+                project_state, policies, profile, epoch,
             )
 
     def _run_batch(
         self, root, pages, audit, cache_dir, cache_max_mb, project_state,
-        policies, profile, epoch, disk_cache,
+        policies, profile, epoch,
     ) -> list:
         self._batch_counter += 1
         config = BatchConfig(
@@ -146,112 +115,39 @@ class AnalysisFarm:
             trace=TRACE.enabled,
             timeline=TIMELINE.enabled,
             epoch=epoch,
-            split_threshold=self._split_threshold_for(),
             batch_id=f"{os.getpid()}:{self._batch_counter}",
         )
         scheduler = WorkStealingScheduler(self.jobs)
-        seq = 0
-
-        # The pre-pass BFS starts at the entry pages; parse tasks report
-        # static include targets and the collect loop fans the newly
-        # discovered files out as further chunks, so the pre-pass covers
-        # the pages' dependency closure without touching the rest of the
-        # project tree.
-        prepass = {
-            "enabled": (
-                self.memo_service is not None
-                and _env_flag("REPRO_FARM_PREPASS")
-                and len(pages) > 1
-            ),
-            "seen": set(),
-            "next_chunk": 0,
-        }
-        parse_tasks: list[FarmTask] = []
-        if prepass["enabled"]:
-            seeds = [Path(str(p)) for p in pages]
-            prepass["seen"].update(os.path.normpath(str(p)) for p in seeds)
-            for chunk in self._chunk_files(seeds):
-                cost = sum(_file_cost(path) for path in chunk)
-                payload = (
-                    "parse", config, tuple(str(p) for p in chunk),
-                    prepass["next_chunk"],
-                )
-                prepass["next_chunk"] += 1
-                parse_tasks.append(FarmTask(seq, "parse", cost, payload))
-                seq += 1
-            PERF.incr("farm.prepass.chunks", len(parse_tasks))
-        # the pre-pass is planned first so it sits at every queue front:
-        # workers warm the shared AST memo before page analyses want it
-        scheduler.plan(parse_tasks)
-
-        page_tasks = []
-        for index, page in enumerate(pages):
-            payload = ("page", config, str(page), index)
-            page_tasks.append(
-                FarmTask(seq, "page", _file_cost(Path(page)), payload)
-            )
-            seq += 1
-        scheduler.plan(page_tasks)
-
+        scheduler.plan([
+            FarmTask(index, "page", _file_cost(Path(page)),
+                     ("page", config, str(page), index))
+            for index, page in enumerate(pages)
+        ])
         for worker_index, planned in enumerate(scheduler.queues):
             for task in planned:
                 self._task_queues[worker_index].put(task.payload)
-
-        return self._collect(
-            config, len(pages), len(parse_tasks), disk_cache, prepass
-        )
-
-    def _split_threshold_for(self) -> int:
-        if self.memo_service is None:
-            return 0
-        return _split_threshold()
-
-    def _chunk_files(self, files: list[Path]) -> list[list[Path]]:
-        chunks = max(1, min(self.jobs * 2, len(files)))
-        sliced: list[list[Path]] = [[] for _ in range(chunks)]
-        # deterministic greedy balance by size: biggest file first onto
-        # the lightest chunk
-        weights = [0.0] * chunks
-        ordered = sorted(
-            files, key=lambda p: (-_file_cost(p), str(p))
-        )
-        for path in ordered:
-            target = min(range(chunks), key=lambda i: (weights[i], i))
-            sliced[target].append(path)
-            weights[target] += _file_cost(path)
-        return [chunk for chunk in sliced if chunk]
-
-    def _collect(self, config, n_pages, n_parse, disk_cache, prepass) -> list:
-        splits: dict[int, dict] = {}
         try:
-            return self._collect_inner(
-                config, n_pages, n_parse, disk_cache, prepass, splits
-            )
+            return self._collect(config, len(pages))
         except Exception:
             # A failed batch must not poison the persistent farm: pull
-            # its undispatched tasks back out of the worker queues and
-            # drop its published blobs.  Tasks a worker already took
-            # will still emit envelopes later, but they carry this
-            # batch's id, so the next batch's _collect discards them.
-            self._abort_batch(splits)
+            # its undispatched tasks back out of the worker queues.
+            # Tasks a worker already took will still emit envelopes
+            # later, but they carry this batch's id, so the next
+            # batch's _collect discards them.
+            self._drain_task_queues()
             raise
 
-    def _abort_batch(self, splits: dict[int, dict]) -> None:
+    def _drain_task_queues(self) -> None:
         for task_queue in self._task_queues:
             while True:
                 try:
                     task_queue.get_nowait()
                 except queue_mod.Empty:
                     break
-        for state in splits.values():
-            self._client.delete("blob", state["blob_key"])
 
-    def _collect_inner(
-        self, config, n_pages, n_parse, disk_cache, prepass, splits
-    ) -> list:
+    def _collect(self, config, n_pages) -> list:
         results: list = [None] * n_pages
-        outstanding = n_pages + n_parse
-        next_queue = 0
+        outstanding = n_pages
         while outstanding > 0:
             try:
                 batch_tag, envelope = self._result_queue.get(timeout=1.0)
@@ -269,74 +165,16 @@ class AnalysisFarm:
                 PERF.incr("farm.envelopes.stale_dropped")
                 continue
             outstanding -= 1
-            kind = envelope[0]
-            if kind == "parse":
-                perf, stolen = envelope[-3], envelope[-2]
-            else:
-                perf, stolen = envelope[-2], envelope[-1]
+            kind, *fields, perf, stolen = envelope
             if perf:
                 PERF.merge(perf)
             if stolen:
                 PERF.incr("farm.tasks.stolen")
-
             if kind == "page":
-                _, index, result, _, _ = envelope
+                index, result = fields
                 results[index] = result
-            elif kind == "phase1":
-                _, index, partial, blob_key, n_spots, cache_key, _, _ = envelope
-                PERF.incr("farm.pages.split")
-                splits[index] = {
-                    "partial": partial,
-                    "blob_key": blob_key,
-                    "n": n_spots,
-                    "cache_key": cache_key,
-                    "reports": {},
-                }
-                for spot_index in range(n_spots):
-                    task = ("cascade", config, blob_key, index, spot_index)
-                    self._task_queues[next_queue % self.jobs].put(task)
-                    next_queue += 1
-                outstanding += n_spots
-            elif kind == "cascade":
-                (_, page_index, spot_index, report, scope_nts, scope_prods,
-                 seconds, _, _) = envelope
-                PERF.incr("farm.tasks.cascades")
-                state = splits[page_index]
-                state["reports"][spot_index] = (
-                    report, scope_nts, scope_prods, seconds
-                )
-                if len(state["reports"]) == state["n"]:
-                    results[page_index] = self._assemble_split(
-                        state, config, disk_cache
-                    )
-                    del splits[page_index]
-            elif kind == "parse":
-                (_, chunk_id, parsed, shared, errors, discovered,
-                 _, _, payload) = envelope
-                PERF.incr("farm.prepass.files_parsed", parsed)
-                PERF.incr("farm.prepass.files_shared", shared)
-                PERF.incr("farm.prepass.files_error", errors)
-                TIMELINE.adopt_capture(payload)
-                new = [
-                    name for name in discovered
-                    if name not in prepass["seen"]
-                ]
-                if new:
-                    prepass["seen"].update(new)
-                    PERF.incr("farm.prepass.files_discovered", len(new))
-                    for chunk in self._chunk_files([Path(n) for n in new]):
-                        task = (
-                            "parse", config,
-                            tuple(str(p) for p in chunk),
-                            prepass["next_chunk"],
-                        )
-                        prepass["next_chunk"] += 1
-                        PERF.incr("farm.prepass.chunks")
-                        self._task_queues[next_queue % self.jobs].put(task)
-                        next_queue += 1
-                        outstanding += 1
             elif kind == "error":
-                _, task_kind, tb, _, _ = envelope
+                task_kind, tb = fields
                 raise RuntimeError(
                     f"farm worker failed on a {task_kind!r} task:\n{tb}"
                 )
@@ -348,38 +186,11 @@ class AnalysisFarm:
             raise RuntimeError(f"farm batch lost results for pages {missing}")
         return results
 
-    def _assemble_split(self, state: dict, config, disk_cache):
-        """Reattach a split page's cascade reports **in hotspot order**
-        — the same order the serial phase-2 loop runs — then stamp
-        confidence and store the finished result, exactly like the
-        inline path."""
-        partial = state["partial"]
-        for spot_index in range(state["n"]):
-            report, scope_nts, scope_prods, seconds = state["reports"][
-                spot_index
-            ]
-            partial.reports.append(report)
-            partial.nonterminals += scope_nts
-            partial.productions += scope_prods
-            partial.check_seconds += seconds
-        if partial.audit is not None:
-            for report in partial.reports:
-                report.confidence = partial.audit.confidence
-        if disk_cache is not None and state["cache_key"] is not None:
-            disk_cache.store("page", state["cache_key"], partial)
-        # --profile accounting for split pages happens here, on the
-        # assembled result, so ipc.page_results/ipc.page_bytes_* count
-        # every page exactly once whether or not it was split
-        _profile_ipc(config, partial)
-        self._client.delete("blob", state["blob_key"])
-        return partial
-
     # -- lifecycle ---------------------------------------------------------
 
-    def memo_stats(self) -> dict:
-        if self.memo_service is None:
-            return {"sizes": {}, "counters": {}}
-        return self.memo_service.stats()
+    def healthy(self) -> bool:
+        """True while every worker process is alive."""
+        return all(process.is_alive() for process in self._workers)
 
     def shutdown(self) -> None:
         self._stop.set()
@@ -391,9 +202,6 @@ class AnalysisFarm:
         for q in self._task_queues + [self._result_queue]:
             q.cancel_join_thread()
             q.close()
-        if self.memo_service is not None:
-            self.memo_service.shutdown()
-            self.memo_service = None
 
     def __enter__(self) -> "AnalysisFarm":
         return self

@@ -34,7 +34,7 @@ class FarmTask:
     """
 
     seq: int
-    kind: str  # "parse" | "page" | "cascade"
+    kind: str  # "page"
     cost: float
     payload: object = None
 

@@ -3,40 +3,20 @@
 Each worker owns one task queue and loops: take from its own queue
 (FIFO — the driver placed the biggest tasks first), else **steal** the
 front of the most convenient victim's queue, else sleep a couple of
-milliseconds.  Three task kinds arrive:
-
-``parse``
-    An include/parse pre-pass chunk: parse files, publish the
-    ``(tree, error)`` entries to the shared AST memo — so page analyses
-    on *any* worker skip the parse entirely — and report the files'
-    *static* include targets back to the driver, which fans newly
-    discovered files out as further parse chunks.  The pre-pass thus
-    covers the dependency closure of the entry pages (breadth-first,
-    in parallel), not the whole project tree.
-``page``
-    One entry page.  Runs the exact :func:`_page_result` path (disk
-    cache, phase 1, phase 2, audit) unless the page is *splittable*:
-    with a live memo service, splitting enabled, and at least
-    ``split_threshold`` hotspots, the worker stops after phase 1,
-    publishes the pickled ``(grammar, hotspots)`` blob, and returns a
-    partial result — the driver fans the hotspots back out as
-    ``cascade`` tasks.
-``cascade``
-    One phase-2 check of one hotspot against a published blob.  The
-    grammar's canonical fingerprint survives pickling, so the verdict
-    (and its memo key) is identical wherever the cascade runs.
+milliseconds.  A task is one entry page, run through the exact
+:func:`_page_result` path a serial run takes (disk cache, phase 1,
+phase 2, audit).
 
 Every envelope carries the worker's :meth:`PERF.diff` for the task, so
 the driver's merged counters are scheduling-invariant.  Workers keep
 per-``(root, epoch)`` parse caches and resolvers — the daemon bumps a
 project's epoch on invalidation, which conservatively discards the
-worker-local state while all *shared* state stays valid by content
-addressing.
+worker-local state, while the verdict and image memos stay valid
+because they are keyed by content.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue
 import time
@@ -45,26 +25,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis import policy as _policy
-from repro.analysis import stringtaint as _stringtaint
-from repro.analysis.analyzer import (
-    PageResult,
-    _audit_result,
-    _check_one,
-    _page_result,
-    _phase1_page,
-    _relative_deps,
-    _warm_worker_caches,
-)
+from repro.analysis.analyzer import PageResult, _page_result, _warm_worker_caches
 from repro.analysis.diskcache import DiskCache
-from repro.lang import image as _image
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE, append_span
 from repro.obs.trace import TRACE
-from repro.php import ast as php_ast
 from repro.php.includes import IncludeResolver
-
-from .memo import AstMemo, BlobStore, ImageMemo, SharedMemoClient, VerdictMemo
 
 
 @dataclass(frozen=True)
@@ -83,10 +49,7 @@ class BatchConfig:
     trace: bool
     timeline: bool
     epoch: int
-    #: hotspot count at which a page is split into cascade tasks;
-    #: ``0`` disables splitting for the batch
-    split_threshold: int
-    #: unique per (driver pid, batch ordinal): namespaces blob keys
+    #: unique per (driver pid, batch ordinal): tags result envelopes
     batch_id: str
 
 
@@ -99,30 +62,19 @@ _PROJECT_ENVS_CAP = 8
 #: Policy digests whose automata this process already warmed.
 _WARMED: set[str] = set()
 
-#: Unpickled split-page blobs, keyed by blob key (a page's cascades all
-#: land close together, and sharing the unpickled pair across them is
-#: what keeps cascade tasks cheap).
-_BLOB_CACHE: OrderedDict[str, tuple] = OrderedDict()
-_BLOB_CACHE_CAP = 4
-
 
 def _project_env(config: BatchConfig) -> dict:
     key = (config.root, config.epoch)
     env = _PROJECT_ENVS.get(key)
     if env is None:
-        resolver = IncludeResolver(config.root)
         env = {
             "parse_cache": {},
-            "resolver": resolver,
+            "resolver": IncludeResolver(config.root),
             "disk_cache": (
                 DiskCache(config.cache_dir, max_mb=config.cache_max_mb)
                 if config.cache_dir
                 else None
             ),
-            # resolver-visible file names, in the exact string form the
-            # analysis hands to _parse — membership checks for pre-pass
-            # include discovery
-            "files": frozenset(str(p) for p in resolver.project_files()),
         }
         _PROJECT_ENVS[key] = env
         while len(_PROJECT_ENVS) > _PROJECT_ENVS_CAP:
@@ -146,24 +98,6 @@ def _configure_obs(config: BatchConfig) -> None:
         TIMELINE.configure(config.timeline)
 
 
-def _page_cache_key(config: BatchConfig, page: str) -> str | None:
-    if config.project_state is None or not config.cache_dir:
-        return None
-    try:
-        rel = str(Path(page).relative_to(config.root))
-    except ValueError:
-        rel = str(page)
-    return DiskCache.page_key(
-        config.project_state,
-        config.root,
-        rel,
-        config.audit,
-        policy_digest=(
-            config.policies.digest() if config.policies is not None else ""
-        ),
-    )
-
-
 def _profile_ipc(config: BatchConfig, result: PageResult) -> None:
     """The worker-side IPC accounting ``--profile`` opts into: the
     result is pickled once more by the queue machinery on the way home,
@@ -182,22 +116,16 @@ def _profile_ipc(config: BatchConfig, result: PageResult) -> None:
         append_span(result.timeline, "pickle", started, finished, bytes=size)
 
 
-def _run_page(task, stolen: bool, blobs: BlobStore | None, before):
+def _execute(task, stolen: bool):
+    """Run one page task; the envelope the driver's collect loop reads."""
     _, config, page, index = task
-    _configure_obs(config)
-    env = _project_env(config)
-    _warm_policies(config)
-    root = Path(config.root)
-    splittable = (
-        config.split_threshold > 0
-        and blobs is not None
-        and blobs.client.available
-        and not config.trace
-        and not config.timeline
-    )
-    if not splittable:
+    before = PERF.snapshot()
+    try:
+        _configure_obs(config)
+        env = _project_env(config)
+        _warm_policies(config)
         result = _page_result(
-            root,
+            Path(config.root),
             page,
             config.audit,
             env["parse_cache"],
@@ -209,204 +137,12 @@ def _run_page(task, stolen: bool, blobs: BlobStore | None, before):
         _profile_ipc(config, result)
         result.perf = None
         return ("page", index, result, PERF.diff(before), stolen)
-
-    # Split-capable path (plain runs only: trace/timeline captures need
-    # the whole page on one worker).  Mirrors _page_result_inner: disk
-    # cache first, then phase 1, then either inline phase 2 (small
-    # pages) or a published blob plus a partial result.
-    disk_cache = env["disk_cache"]
-    key = _page_cache_key(config, str(page))
-    if disk_cache is not None and key is not None:
-        cached = disk_cache.load("page", key)
-        if isinstance(cached, PageResult):
-            PERF.incr("policy.checks_avoided", len(cached.reports))
-            PERF.incr("pages.from_disk_cache")
-            cached.from_cache = True
-            cached.perf = None
-            _profile_ipc(config, cached)
-            return ("page", index, cached, PERF.diff(before), stolen)
-
-    result, string_seconds = _phase1_page(
-        root, page, config.audit, env["parse_cache"], env["resolver"],
-        disk_cache, config.policies,
-    )
-    page_audit = _audit_result(result, config.audit)
-    partial = PageResult(
-        page=str(page),
-        parse_errors=list(result.parse_errors),
-        audit=page_audit,
-        string_seconds=string_seconds,
-        deps=_relative_deps(result.dep_files, root),
-        layout_sensitive=result.layout_sensitive,
-    )
-
-    if len(result.hotspots) < config.split_threshold:
-        started = time.perf_counter()
-        with PERF.timer("phase2.checks"):
-            for spot in result.hotspots:
-                report, scope_nts, scope_prods = _check_one(
-                    result.grammar, spot, config.policies
-                )
-                partial.nonterminals += scope_nts
-                partial.productions += scope_prods
-                partial.reports.append(report)
-        partial.check_seconds = time.perf_counter() - started
-        if page_audit is not None:
-            for report in partial.reports:
-                report.confidence = page_audit.confidence
-        if disk_cache is not None and key is not None:
-            disk_cache.store("page", key, partial)
-        _profile_ipc(config, partial)
-        return ("page", index, partial, PERF.diff(before), stolen)
-
-    blob_key = f"{config.batch_id}:{index}"
-    blobs.publish(blob_key, (result.grammar, result.hotspots))
-    return (
-        "phase1",
-        index,
-        partial,
-        blob_key,
-        len(result.hotspots),
-        key,
-        PERF.diff(before),
-        stolen,
-    )
-
-
-def _fetch_blob(blobs: BlobStore, blob_key: str) -> tuple:
-    pair = _BLOB_CACHE.get(blob_key)
-    if pair is not None:
-        _BLOB_CACHE.move_to_end(blob_key)
-        return pair
-    pair = blobs.fetch(blob_key)
-    if pair is None:
-        raise RuntimeError(f"split-page blob {blob_key!r} missing from memo service")
-    _BLOB_CACHE[blob_key] = pair
-    while len(_BLOB_CACHE) > _BLOB_CACHE_CAP:
-        _BLOB_CACHE.popitem(last=False)
-    return pair
-
-
-def _run_cascade(task, stolen: bool, blobs: BlobStore | None, before):
-    _, config, blob_key, page_index, spot_index = task
-    _configure_obs(config)
-    _warm_policies(config)
-    grammar, hotspots = _fetch_blob(blobs, blob_key)
-    started = time.perf_counter()
-    with PERF.timer("phase2.checks"):
-        report, scope_nts, scope_prods = _check_one(
-            grammar, hotspots[spot_index], config.policies
-        )
-    seconds = time.perf_counter() - started
-    return (
-        "cascade",
-        page_index,
-        spot_index,
-        report,
-        scope_nts,
-        scope_prods,
-        seconds,
-        PERF.diff(before),
-        stolen,
-    )
-
-
-def _static_includes(
-    tree, current_dir: Path, root: Path, file_set: frozenset[str]
-) -> set[str]:
-    """Resolver-visible targets of the tree's literal-argument includes.
-
-    Only a pre-pass *hint*: candidates are matched by normalized path
-    (relative to the including file's directory, then the project root)
-    against the resolver's file census — exactly the string forms the
-    analysis itself will hand to ``_parse``, so a discovered file's
-    shared AST entry lands under the key the consumer will look up.
-    Dynamic includes are left to the page analyses (which resolve them
-    properly, few files at a time)."""
-    found: set[str] = set()
-    for node in php_ast.walk(tree):
-        if not isinstance(node, php_ast.Include):
-            continue
-        path_expr = node.path
-        if not (
-            isinstance(path_expr, php_ast.Literal)
-            and isinstance(path_expr.value, str)
-            and path_expr.value
-        ):
-            continue
-        for base in (current_dir, root):
-            candidate = os.path.normpath(str(base / path_expr.value))
-            if candidate in file_set:
-                found.add(candidate)
-                break
-    return found
-
-
-def _run_parse(task, stolen: bool, before):
-    _, config, files, chunk_id = task
-    _configure_obs(config)
-    env = _project_env(config)
-    root = Path(config.root)
-    parsed = shared = errors = 0
-    discovered: set[str] = set()
-
-    def sweep() -> None:
-        nonlocal parsed, shared, errors
-        for name in files:
-            path = Path(name)
-            outcome, tree = _stringtaint.prepass_parse_file(
-                path, env["disk_cache"]
-            )
-            if outcome == "parsed":
-                parsed += 1
-            elif outcome == "shared":
-                shared += 1
-            else:
-                errors += 1
-            if tree is not None:
-                discovered.update(
-                    _static_includes(tree, path.parent, root, env["files"])
-                )
-
-    payload = None
-    if config.timeline:
-        with TIMELINE.page(f"<prepass:{chunk_id}>") as capture:
-            with TIMELINE.phase("prepass"):
-                sweep()
-        payload = capture.payload()
-    else:
-        sweep()
-    return (
-        "parse", chunk_id, parsed, shared, errors, tuple(sorted(discovered)),
-        PERF.diff(before), stolen, payload,
-    )
-
-
-def _execute(task, stolen: bool, blobs: BlobStore | None):
-    kind = task[0]
-    before = PERF.snapshot()
-    try:
-        if kind == "page":
-            return _run_page(task, stolen, blobs, before)
-        if kind == "cascade":
-            return _run_cascade(task, stolen, blobs, before)
-        if kind == "parse":
-            return _run_parse(task, stolen, before)
-        raise ValueError(f"unknown farm task kind {kind!r}")
     except Exception:
-        return ("error", kind, traceback.format_exc(), PERF.diff(before), stolen)
+        return ("error", "page", traceback.format_exc(), PERF.diff(before), stolen)
 
 
-def farm_worker_main(index, task_queues, result_queue, stop_event, store):
+def farm_worker_main(index, task_queues, result_queue, stop_event):
     """One worker process: take → steal → sleep, until told to stop."""
-    client = SharedMemoClient(store)
-    blobs = BlobStore(client) if client.available else None
-    if client.available:
-        # analysis-layer hooks: consulted on local memo misses, fed on
-        # local computes (no-ops in serial runs, where they stay None)
-        _policy.SHARED_VERDICTS = VerdictMemo(client)
-        _image.SHARED_IMAGES = ImageMemo(client)
-        _stringtaint.SHARED_ASTS = AstMemo(client)
     own = task_queues[index]
     victims = [
         task_queues[(index + step) % len(task_queues)]
@@ -431,4 +167,4 @@ def farm_worker_main(index, task_queues, result_queue, stop_event, store):
         # every envelope is tagged with its batch id so the driver can
         # discard leftovers from an aborted batch instead of mistaking
         # them for the current batch's results
-        result_queue.put((task[1].batch_id, _execute(task, stolen, blobs)))
+        result_queue.put((task[1].batch_id, _execute(task, stolen)))

@@ -26,7 +26,6 @@ them, and their absence keeps the grammar-image construction simple.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 
 from dataclasses import dataclass
@@ -85,38 +84,6 @@ class FST:
 
     def is_accepting(self, state: int) -> bool:
         return self.accepts is None or state in self.accepts
-
-    def content_key(self) -> str:
-        """Content-addressed identity: equal keys ⇒ equal transducers.
-
-        The :class:`~repro.lang.image.ImageCache` keys entries by
-        ``id(fst)``, which is process-local; sharing image memo entries
-        *across* worker processes needs a key derived from the
-        transducer's content alone.  Canonical rendering: state count,
-        start, accepts, final outputs, and every transition with its
-        charset intervals and output items (markers by name).  Cached —
-        transducers are immutable once built.
-        """
-        cached = getattr(self, "_content_key", None)
-        if cached is not None:
-            return cached
-        parts: list[str] = [
-            f"n={self.num_states}",
-            f"s={self.start}",
-            "a=*" if self.accepts is None else f"a={sorted(self.accepts)}",
-            f"f={sorted(self.final_output.items())}",
-        ]
-        for src in sorted(self.transitions):
-            for t in self.transitions[src]:
-                output = ",".join(
-                    f"M:{item.name}" if isinstance(item, _Marker)
-                    else f"L:{item}"
-                    for item in t.output
-                )
-                parts.append(f"t={src}:{t.label.intervals}:{output}:{t.dst}")
-        key = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        self._content_key = key
-        return key
 
     # -- semantics -------------------------------------------------------
 

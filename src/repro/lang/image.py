@@ -92,15 +92,6 @@ class ImageCache:
 #: Process-wide image memo (one per worker in parallel runs).
 IMAGE_CACHE = ImageCache()
 
-#: Farm hook: a :class:`repro.farm.memo.ImageMemo` in worker processes,
-#: ``None`` everywhere else.  The cross-process key replaces ``id(fst)``
-#: with :meth:`FST.content_key` — content-addressed, so a shared entry
-#: rebinds exactly like a locally computed one.  A shared hit still
-#: counts as a local ``image.cache.misses`` (plus
-#: ``farm.image.shared_hits``), keeping the hits+misses lookup total
-#: scheduling-invariant.
-SHARED_IMAGES = None
-
 #: Sentinel distinguishing "not computed" from a cached None result.
 _TERM_MISS = object()
 
@@ -186,25 +177,10 @@ def fst_image(
         with PERF.timer("image.rebind"), TIMELINE.phase("image.rebind"):
             return _rebind_image(cached_grammar, cached_start, recipes, grammar)
     PERF.incr("image.cache.misses")
-    if SHARED_IMAGES is not None:
-        shared = SHARED_IMAGES.fetch((fst.content_key(), fingerprint))
-        if shared is not None:
-            cached_grammar, cached_start, recipes = shared
-            IMAGE_CACHE.put(fst, fingerprint, cached_grammar, cached_start, recipes)
-            TRACE.annotate("cache", "shared-hit")
-            PERF.incr("image.cache.replays", len(recipes))
-            with PERF.timer("image.rebind"), TIMELINE.phase("image.rebind"):
-                return _rebind_image(
-                    cached_grammar, cached_start, recipes, grammar
-                )
     TRACE.annotate("cache", "miss")
     with PERF.timer("image.construct"), TIMELINE.phase("image.construct"):
         result, start, recipes = _fst_image_uncached(grammar, root, fst)
     IMAGE_CACHE.put(fst, fingerprint, result, start, recipes)
-    if SHARED_IMAGES is not None:
-        SHARED_IMAGES.publish(
-            (fst.content_key(), fingerprint), (result, start, recipes)
-        )
     # hand the first caller a copy too: the cached original must never
     # be reachable from mutating callers
     return result.structural_copy(), start

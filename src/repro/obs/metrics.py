@@ -267,15 +267,6 @@ CACHE_RATE_ROWS = (
     ("disk page", "disk.page.hits", "disk.page.misses", ()),
     ("server page memo", "server.pages.replayed",
      "server.pages.reanalyzed", ()),
-    # farm shared-memo sections: a shared hit ALSO counts as a local
-    # miss in the rows above (counter-invariance contract), so these
-    # rows measure only how often the cross-worker store saved work
-    ("farm shared verdict", "farm.verdict.shared_hits",
-     "farm.verdict.shared_misses", ("farm.verdict.published",)),
-    ("farm shared image", "farm.image.shared_hits",
-     "farm.image.shared_misses", ("farm.image.published",)),
-    ("farm shared ast", "farm.ast.shared_hits",
-     "farm.ast.shared_misses", ("farm.ast.published",)),
 )
 
 

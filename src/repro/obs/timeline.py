@@ -92,13 +92,11 @@ class TimelineRecorder:
         self.enabled = False
         self._spans: list[dict] = []
         self._stack: list[int] = []
-        self._adopted: list[dict] = []
 
     def configure(self, enabled: bool) -> None:
         self.enabled = enabled
         self._spans = []
         self._stack = []
-        self._adopted = []
 
     @contextmanager
     def phase(self, name: str, **meta):
@@ -152,17 +150,11 @@ class TimelineRecorder:
         self._stack = []
         return spans
 
-    def adopt_capture(self, payload: dict | None) -> None:
-        """Register a worker-recorded capture that is not a page (the
-        farm's include/parse pre-pass chunks).  Adopted captures render
-        in the timeline's ``aux`` section, keeping ``pages`` exactly one
-        entry per analyzed page."""
-        if self.enabled and payload:
-            self._adopted.append(payload)
-
     def drain_adopted(self) -> list[dict]:
-        adopted, self._adopted = self._adopted, []
-        return adopted
+        """Non-page captures recorded since the last drain.  Every farm
+        task is a page, so there are none; the method stays because
+        timeline callers pass its result as ``assemble(aux_payloads=)``."""
+        return []
 
 
 #: The process-wide recorder; workers enable their own copy in the pool
@@ -205,8 +197,7 @@ def assemble(
     by first appearance in page order, so the lane layout is a pure
     function of the page→worker assignment.
 
-    ``aux_payloads`` are non-page worker captures (the farm's pre-pass
-    chunks, see :meth:`TimelineRecorder.adopt_capture`); they render
+    ``aux_payloads`` are captures that belong to no page; they render
     under an ``aux`` key so ``pages`` stays one entry per analyzed page.
     """
     driver_spans = driver_spans or []

@@ -26,9 +26,9 @@ the command line is the *default* project; ``load_project`` adds more,
 its memo, parse cache, dependency graph, and invalidation **epoch** in
 a :class:`ProjectState` behind its own lock, so an edit to one project
 can never invalidate (or leak into) another; process-global shared
-state — the verdict memo, the FST-image memo, and the analysis farm's
-shared memo service — is content-addressed, so cross-project sharing
-is sound by construction (see DESIGN "Soundness of shared memos").
+state — the verdict memo and the FST-image memo, in the daemon and in
+every farm worker — is content-addressed, so cross-project sharing is
+sound by construction (see DESIGN §5k).
 
 Concurrency: connections are handled in threads.  Requests against
 different projects interleave freely (per-project locks); the actual
@@ -238,9 +238,16 @@ class AnalysisDaemon:
 
     def _farm_for_batch(self):
         """The shared farm when the daemon runs parallel batches; None
-        keeps run_pages on the serial in-process path."""
+        keeps run_pages on the serial in-process path.  A farm that lost
+        a worker (killed, out of memory) is replaced, so one dead process
+        fails at most the batch it died in."""
         if self.jobs <= 1:
             return None
+        if self._farm is not None and not self._farm.healthy():
+            log.warning("analysis farm lost a worker; restarting it")
+            PERF.incr("server.farm.restarts")
+            self._farm.shutdown()
+            self._farm = None
         if self._farm is None:
             from repro.farm.driver import AnalysisFarm
 

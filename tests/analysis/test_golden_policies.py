@@ -11,6 +11,10 @@ them — the pre-filter in particular may only ever answer "provably
 safe" when the exact CFG ∩ FSA check would, so verdicts, witnesses,
 sample queries, provenance, and SARIF all stay bit-stable.
 
+The ``--json`` check also runs every app on a two-worker analysis farm
+(``jobs=2``), whose documents must match the same goldens byte for
+byte.
+
 Paths are normalized to ``<ROOT>`` because the corpus is rebuilt in a
 fresh temporary directory on every run; everything else is compared
 verbatim.
@@ -26,7 +30,10 @@ from repro.analysis.policies import PolicyConfig
 from repro.analysis.policies.registry import REGISTRY
 from repro.analysis.reports import json_document
 from repro.analysis.sarif import render_sarif
+from repro.analysis.policy import VERDICT_CACHE
 from repro.corpus import APPS, build_app
+from repro.farm import AnalysisFarm
+from repro.lang.image import IMAGE_CACHE
 
 GOLDEN = Path(__file__).parent / "golden_policies"
 
@@ -48,9 +55,35 @@ def corpus_results(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("app_dir", APP_DIRS)
-def test_json_document_matches_golden(corpus_results, app_dir):
+@pytest.fixture(scope="module")
+def farm_results(corpus_results):
+    """The same apps on one two-worker farm.  The process memos are
+    cleared first, so the forked workers start cold instead of
+    replaying the serial run's verdicts."""
+    VERDICT_CACHE.clear()
+    IMAGE_CACHE.clear()
+    out = {}
+    with AnalysisFarm(2) as farm:
+        for app_dir, (root, _, config) in corpus_results.items():
+            out[app_dir] = run_pages(
+                root, entry_pages(root), audit=True, jobs=2,
+                policies=config, farm=farm,
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "app_dir,jobs",
+    [
+        pytest.param(app_dir, jobs, id=app_dir if jobs == 1 else f"{app_dir}-jobs2")
+        for jobs in (1, 2)
+        for app_dir in APP_DIRS
+    ],
+)
+def test_json_document_matches_golden(request, corpus_results, app_dir, jobs):
     root, results, _ = corpus_results[app_dir]
+    if jobs == 2:
+        results = request.getfixturevalue("farm_results")[app_dir]
     rendered = json.dumps(json_document(root, results), indent=2)
     rendered = rendered.replace(str(root), "<ROOT>") + "\n"
     assert rendered == (GOLDEN / f"{app_dir}.json").read_text()

@@ -7,9 +7,9 @@ drained and any envelope a worker was still producing is discarded by
 the next batch's collect loop — so a single failed request can never
 corrupt the results served to later clients of a long-lived daemon.
 
-These tests drive a real in-process :class:`AnalysisFarm` (memo service
-disabled to keep them light) and inject envelopes directly into the
-result queue to simulate the leftovers of a failed batch.
+These tests drive a real in-process :class:`AnalysisFarm` and inject
+envelopes directly into the result queue to simulate the leftovers of
+a failed batch.
 """
 
 import os
@@ -33,8 +33,7 @@ def app(tmp_path):
 
 
 @pytest.fixture
-def farm(monkeypatch):
-    monkeypatch.setenv("REPRO_FARM_MEMO", "0")
+def farm():
     farm = AnalysisFarm(1)
     yield farm
     farm.shutdown()

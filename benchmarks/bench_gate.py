@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -49,6 +50,22 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from perf_harness import analysis_wall, run_cli  # noqa: E402
+
+
+def machine_description() -> str:
+    """CPU model, core count and interpreter: what a budget was measured on."""
+    model = platform.processor() or platform.machine()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return (
+        f"{model}, {os.cpu_count()} cpu, "
+        f"{platform.python_implementation()} {platform.python_version()}"
+    )
 
 
 def measure_app(name: str, reps: int) -> float:
@@ -184,6 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         budgets["calibration"]["measured_wall_seconds"] = {
             app: round(wall, 3) for app, wall in measured.items()
         }
+        budgets["calibration"]["machine"] = machine_description()
+        budgets["calibration"]["best_of"] = args.reps
         BUDGETS_PATH.write_text(json.dumps(budgets, indent=2) + "\n")
         print(f"recalibrated {BUDGETS_PATH}")
         return 0

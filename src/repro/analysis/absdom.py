@@ -17,7 +17,7 @@ from typing import Iterable
 from repro.lang.charset import CharSet
 from repro.lang.fsa import DFA, NFA
 from repro.lang.fst import FST, FSTExplosion
-from repro.lang.grammar import Grammar, Lit, Nonterminal, Symbol
+from repro.lang.grammar import Grammar, Lit, Nonterminal, Symbol, gc_paused
 from repro.lang.image import fst_image, regular_image
 from repro.lang.intersect import intersect
 from repro.lang.regex import Pattern, search_language
@@ -217,6 +217,7 @@ class GrammarBuilder:
 
     # -- language operations ---------------------------------------------------------
 
+    @gc_paused
     def refine(self, value: StrVal, dfa: DFA, hint: str = "∩") -> StrVal:
         """Intersection refinement (conditionals; paper Figure 7).
 
@@ -244,6 +245,7 @@ class GrammarBuilder:
             language = language.complement()
         return self.refine(value, language, hint="re∩")
 
+    @gc_paused
     def image(self, value: StrVal, fst: FST, hint: str = "fx") -> StrVal:
         """Transducer image; widens the operand first if it would blow up."""
         with TRACE.span("image", op=hint) as span:

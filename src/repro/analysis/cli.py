@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro.obs import trace
 from repro.obs import timeline as obs_timeline
+from repro.obs.gcprobe import GC_PROBE
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF, render_table
 from repro.obs.trace import TRACE
@@ -158,8 +159,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=("table", "timeline"),
         metavar="MODE",
         help=(
-            "print a per-phase timing and cache-counter table to stderr "
-            "(with --json, also embed it under a \"perf\" key).  "
+            "print a per-phase timing, cache-counter and garbage-collector "
+            "table to stderr (with --json, also embed it under a \"perf\" "
+            "key).  "
             "--profile=timeline additionally records worker-attributed "
             "phase spans and writes them to --timeline-out; render them "
             "with `sqlciv stats timeline.json`"
@@ -236,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     PERF.reset()
     TRACE.configure(bool(args.trace))
     TIMELINE.configure(args.profile == "timeline")
+    GC_PROBE.configure(bool(args.profile))
 
     if args.pages:
         pages = [root / page for page in args.pages]

@@ -36,7 +36,7 @@ from repro.lang.earley import (
     enumerate_strings,
     parse_sentential_form,
 )
-from repro.lang.grammar import Grammar, Lit, Nonterminal
+from repro.lang.grammar import Grammar, Lit, Nonterminal, gc_paused
 from repro.lang.intersect import intersect, intersection_is_empty
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
@@ -100,6 +100,7 @@ class VerdictCache:
 #: parallel runs get one per worker process.
 VERDICT_CACHE = VerdictCache()
 
+@gc_paused
 def check_hotspot(
     grammar: Grammar,
     hotspot: Hotspot,

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from repro.analysis.analyzer import PageResult, _page_result, _warm_worker_caches
 from repro.analysis.diskcache import DiskCache
+from repro.obs.gcprobe import GC_PROBE
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE, append_span
 from repro.obs.trace import TRACE
@@ -96,6 +97,7 @@ def _configure_obs(config: BatchConfig) -> None:
         TRACE.configure(config.trace)
     if TIMELINE.enabled != config.timeline:
         TIMELINE.configure(config.timeline)
+    GC_PROBE.configure(config.profile)
 
 
 def _profile_ipc(config: BatchConfig, result: PageResult) -> None:

@@ -36,7 +36,6 @@ report) are identical with the filter on or off.
 from __future__ import annotations
 
 import os
-import sys
 from collections import deque
 
 from repro.obs.timeline import TIMELINE
@@ -127,42 +126,53 @@ def _max_length(grammar: Grammar, root: Nonterminal) -> int | None:
     cyclic = grammar.cyclic_nonterminals()
     if any(nt in cyclic for nt in reachable):
         return None
+    productions = grammar.productions
+    # iterative post-order DFS over the (acyclic) reachable subgrammar:
+    # no recursion, so chains deeper than the interpreter's recursion
+    # limit need no process-wide limit bump
     memo: dict[Nonterminal, int | None] = {}
+    stack = [(root, _nonterminals_of(productions.get(root, ())))]
+    while stack:
+        nt, pending = stack[-1]
+        for symbol in pending:
+            if symbol not in memo:
+                stack.append(
+                    (symbol, _nonterminals_of(productions.get(symbol, ())))
+                )
+                break
+        else:
+            stack.pop()
+            memo[nt] = _longest_rhs(productions.get(nt, ()), memo)
+    return memo[root]
 
-    def longest(nt: Nonterminal) -> int | None:
-        if nt in memo:
-            return memo[nt]
-        best: int | None = None
-        for rhs in grammar.productions.get(nt, ()):
-            total = 0
-            for symbol in rhs:
-                if isinstance(symbol, Lit):
-                    total += len(symbol.text)
-                elif isinstance(symbol, CharSet):
-                    total += 1
-                else:
-                    sub = longest(symbol)
-                    if sub is None:
-                        memo[nt] = None
-                        return None
-                    total += sub
-            if total > _MAX_TRACKED_LEN:
-                memo[nt] = None
-                return None
-            if best is None or total > best:
-                best = total
-        # a production-less nonterminal derives nothing; 0 keeps the
-        # bound valid (it can't contribute any string at all)
-        memo[nt] = 0 if best is None else best
-        return memo[nt]
 
-    old_limit = sys.getrecursionlimit()
-    if old_limit < 20000:
-        sys.setrecursionlimit(20000)
-    try:
-        return longest(root)
-    finally:
-        sys.setrecursionlimit(old_limit)
+def _nonterminals_of(rhss):
+    return iter([s for rhs in rhss for s in rhs if isinstance(s, Nonterminal)])
+
+
+def _longest_rhs(rhss, memo: dict[Nonterminal, int | None]) -> int | None:
+    """The longest derivation over ``rhss`` given every nonterminal's
+    bound in ``memo``; None when unbounded or overflowing."""
+    best: int | None = None
+    for rhs in rhss:
+        total = 0
+        for symbol in rhs:
+            if isinstance(symbol, Lit):
+                total += len(symbol.text)
+            elif isinstance(symbol, CharSet):
+                total += 1
+            else:
+                sub = memo[symbol]
+                if sub is None:
+                    return None
+                total += sub
+        if total > _MAX_TRACKED_LEN:
+            return None
+        if best is None or total > best:
+            best = total
+    # a production-less nonterminal derives nothing; 0 keeps the
+    # bound valid (it can't contribute any string at all)
+    return 0 if best is None else best
 
 
 # -- pruned-automaton reachability ------------------------------------------
@@ -237,36 +247,33 @@ def _longest_path(
     """Longest start→accept path inside ``live``, or None on a cycle."""
     if start not in live:
         return None
+    # iterative DFS (see _max_length): post-order longest distances,
+    # None as soon as a live edge closes a cycle
     memo: dict[int, int | None] = {}
-    on_path: set[int] = set()
-
-    def walk(state: int) -> int | None | str:
-        if state in memo:
-            return memo[state]
-        if state in on_path:
-            return "cycle"
-        on_path.add(state)
-        best = 0 if state in accepts else None
-        for dst in edges.get(state, ()):
-            if dst not in live:
+    on_path = {start}
+    stack = [(start, iter(edges.get(start, ())))]
+    while stack:
+        state, pending = stack[-1]
+        for dst in pending:
+            if dst not in live or dst in memo:
                 continue
-            sub = walk(dst)
-            if sub == "cycle":
-                return "cycle"
-            if sub is not None and (best is None or sub + 1 > best):
-                best = sub + 1
-        on_path.discard(state)
-        memo[state] = best
-        return best
-
-    old_limit = sys.getrecursionlimit()
-    if old_limit < 20000:
-        sys.setrecursionlimit(20000)
-    try:
-        found = walk(start)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return None if found == "cycle" else found
+            if dst in on_path:
+                return None
+            on_path.add(dst)
+            stack.append((dst, iter(edges.get(dst, ()))))
+            break
+        else:
+            stack.pop()
+            on_path.discard(state)
+            best = 0 if state in accepts else None
+            for dst in edges.get(state, ()):
+                if dst not in live:
+                    continue
+                sub = memo[dst]
+                if sub is not None and (best is None or sub + 1 > best):
+                    best = sub + 1
+            memo[state] = best
+    return memo[start]
 
 
 def prefilter_decides_empty(

@@ -114,25 +114,7 @@ def enumerate_strings(
     forms* over terminals and holes.
     """
     expandable = {nt for nt, rules in grammar.productions.items() if rules}
-    # cycle check among expandable nonterminals
-    visiting: set[str] = set()
-    visited: set[str] = set()
-
-    def cyclic(nt: str) -> bool:
-        if nt in visited:
-            return False
-        if nt in visiting:
-            return True
-        visiting.add(nt)
-        for rhs in grammar.productions.get(nt, ()):
-            for symbol in rhs:
-                if symbol in expandable and cyclic(symbol):
-                    return True
-        visiting.discard(nt)
-        visited.add(nt)
-        return False
-
-    if start in expandable and cyclic(start):
+    if start in expandable and _reaches_cycle(grammar, expandable, start):
         return None
     results: set[tuple[str, ...]] = set()
     forms: list[tuple[str, ...]] = [(start,)]
@@ -153,6 +135,38 @@ def enumerate_strings(
         for rhs in grammar.productions[form[idx]]:
             forms.append(form[:idx] + tuple(rhs) + form[idx + 1 :])
     return sorted(results)
+
+
+def _reaches_cycle(grammar: TokenGrammar, expandable: set[str], start: str) -> bool:
+    """Is a cycle among ``expandable`` nonterminals reachable from
+    ``start``?  An iterative DFS (a self-calling closure would form a
+    reference cycle; DESIGN.md "Collector pauses")."""
+
+    def successors(nt: str):
+        return iter([
+            symbol
+            for rhs in grammar.productions.get(nt, ())
+            for symbol in rhs
+            if symbol in expandable
+        ])
+
+    visiting = {start}
+    visited: set[str] = set()
+    stack = [(start, successors(start))]
+    while stack:
+        nt, pending = stack[-1]
+        for symbol in pending:
+            if symbol in visiting:
+                return True
+            if symbol not in visited:
+                visiting.add(symbol)
+                stack.append((symbol, successors(symbol)))
+                break
+        else:
+            stack.pop()
+            visiting.discard(nt)
+            visited.add(nt)
+    return False
 
 
 class _Compiled:
@@ -548,41 +562,66 @@ def _derivability_uncached(
 
     # ---- verification: pick and check one concrete mapping ----------------
     order = sorted(generated.productions, key=lambda nt: len(candidates[nt]))
-    budget = [search_budget]
-
-    def verify(mapping: dict[str, str]) -> bool:
-        for nt, rules in generated.productions.items():
-            target = mapping[nt]
-            for rhs in rules:
-                image = tuple(
-                    mapping[s] if generated.is_nonterminal(s) else s for s in rhs
-                )
-                if target in ref_terminals:
-                    if image != (target,):
-                        return False
-                elif not parse_sentential_form(reference, target, image):
-                    return False
-        return True
-
-    def search(index: int, mapping: dict[str, str]) -> dict[str, str] | None:
-        if budget[0] <= 0:
-            return None
-        if index == len(order):
-            budget[0] -= 1
-            return dict(mapping) if verify(mapping) else None
-        nt = order[index]
-        for cand in sorted(candidates[nt]):
-            mapping[nt] = cand
-            found = search(index + 1, mapping)
-            if found is not None:
-                return found
-            del mapping[nt]
-        return None
-
-    mapping = search(0, {})
+    mapping = _search_mapping(
+        generated, reference, ref_terminals, candidates, order,
+        [search_budget], 0, {},
+    )
     if mapping is None:
         return Derivability(False, reason="no consistent mapping verified")
     return Derivability(True, mapping=mapping)
+
+
+def _verify_mapping(
+    generated: TokenGrammar,
+    reference: TokenGrammar,
+    ref_terminals: set[str],
+    mapping: dict[str, str],
+) -> bool:
+    """Is every production image derivable under ``mapping``?"""
+    for nt, rules in generated.productions.items():
+        target = mapping[nt]
+        for rhs in rules:
+            image = tuple(
+                mapping[s] if generated.is_nonterminal(s) else s for s in rhs
+            )
+            if target in ref_terminals:
+                if image != (target,):
+                    return False
+            elif not parse_sentential_form(reference, target, image):
+                return False
+    return True
+
+
+def _search_mapping(
+    generated: TokenGrammar,
+    reference: TokenGrammar,
+    ref_terminals: set[str],
+    candidates: dict[str, set[str]],
+    order: list[str],
+    budget: list[int],
+    index: int,
+    mapping: dict[str, str],
+) -> dict[str, str] | None:
+    """Depth-first search for one verified mapping, assigning ``order``
+    from ``index`` on; ``budget[0]`` caps the complete mappings verified."""
+    if budget[0] <= 0:
+        return None
+    if index == len(order):
+        budget[0] -= 1
+        if _verify_mapping(generated, reference, ref_terminals, mapping):
+            return dict(mapping)
+        return None
+    nt = order[index]
+    for cand in sorted(candidates[nt]):
+        mapping[nt] = cand
+        found = _search_mapping(
+            generated, reference, ref_terminals, candidates, order, budget,
+            index + 1, mapping,
+        )
+        if found is not None:
+            return found
+        del mapping[nt]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ intersection/image algorithms handle them natively.
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import itertools
 from collections import deque
@@ -96,6 +98,30 @@ _SHARED_SAMPLES: dict[tuple[str, int, int, int], list[str]] = {}
 
 #: Steps (queue pops) one :meth:`Grammar.sample_strings` walk may take.
 _SAMPLE_STEPS = 20000
+
+
+def gc_paused(func):
+    """Run ``func`` with CPython's cyclic collector disabled.
+
+    The grammar kernels allocate hundreds of thousands of short-lived,
+    acyclic tuples and rules; every few hundred allocations the collector
+    rescans the whole live page grammar for cycles they never form
+    (DESIGN.md "Collector pauses").  Reference counting still frees all
+    of it.  Only the call that found the collector enabled re-enables it,
+    so nested calls, exceptions and concurrent threads never leave it off.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def is_terminal(symbol: Symbol) -> bool:
@@ -809,54 +835,7 @@ class Grammar:
     def _forced_affix(self, root: Nonterminal, *, reverse: bool) -> str:
         """Longest literal prefix (or suffix, ``reverse=True``) every
         string of L(root) must carry.  Under-approximate but sound."""
-        memo: dict[Nonterminal, tuple[str, bool] | None] = {}
-
-        def symbol_affix(symbol) -> tuple[str, bool]:
-            # (affix, exact): exact means the symbol derives exactly
-            # that one string, so a following symbol's affix may extend it.
-            if isinstance(symbol, Lit):
-                text = symbol.text[::-1] if reverse else symbol.text
-                return text, True
-            if isinstance(symbol, CharSet):
-                if symbol.size() == 1:
-                    return next(symbol.chars(limit=1)), True
-                return "", False
-            return nt_affix(symbol)
-
-        def seq_affix(rhs: Rhs) -> tuple[str, bool]:
-            parts: list[str] = []
-            for symbol in reversed(rhs) if reverse else rhs:
-                affix, exact = symbol_affix(symbol)
-                parts.append(affix)
-                if not exact:
-                    return "".join(parts), False
-            return "".join(parts), True
-
-        def nt_affix(nt: Nonterminal) -> tuple[str, bool]:
-            if nt in memo:
-                entry = memo[nt]
-                # A cycle (entry is None) forces the affix open here.
-                return ("", False) if entry is None else entry
-            rhss = self.productions.get(nt)
-            if not rhss:
-                memo[nt] = ("", False)
-                return memo[nt]
-            memo[nt] = None
-            options = [seq_affix(rhs) for rhs in rhss]
-            common = options[0][0]
-            for text, _ in options[1:]:
-                limit = min(len(common), len(text))
-                i = 0
-                while i < limit and common[i] == text[i]:
-                    i += 1
-                common = common[:i]
-            exact = all(e for _, e in options) and all(
-                text == common for text, _ in options
-            )
-            memo[nt] = (common, exact)
-            return memo[nt]
-
-        affix, _ = nt_affix(root)
+        affix, _ = _nt_affix(self.productions, {}, root, reverse)
         return affix[::-1] if reverse else affix
 
     def generates(self, root: Nonterminal, text: str) -> bool:
@@ -872,24 +851,6 @@ class Grammar:
         reach = [nt for nt in self.reachable(root) if nt in self.productions]
         table: set[tuple[Nonterminal, int, int]] = set()
 
-        def seq_derives(rhs: Rhs, k: int, i: int, j: int) -> bool:
-            if k == len(rhs):
-                return i == j
-            symbol = rhs[k]
-            if isinstance(symbol, Lit):
-                split = i + len(symbol.text)
-                return (
-                    split <= j
-                    and text[i:split] == symbol.text
-                    and seq_derives(rhs, k + 1, split, j)
-                )
-            if isinstance(symbol, CharSet):
-                return i < j and text[i] in symbol and seq_derives(rhs, k + 1, i + 1, j)
-            return any(
-                (symbol, i, split) in table and seq_derives(rhs, k + 1, split, j)
-                for split in range(i, j + 1)
-            )
-
         for length in range(n + 1):
             spans = [(i, i + length) for i in range(n - length + 1)]
             changed = True
@@ -900,7 +861,7 @@ class Grammar:
                         if (nt, i, j) in table:
                             continue
                         if any(
-                            seq_derives(rhs, 0, i, j)
+                            _seq_derives(text, table, rhs, 0, i, j)
                             for rhs in self.productions.get(nt, ())
                         ):
                             table.add((nt, i, j))
@@ -970,6 +931,88 @@ class Grammar:
         if len(order) > limit:
             lines.append(f"… ({len(order) - limit} more nonterminals)")
         return "\n".join(lines)
+
+
+# Module-level recursion for the Grammar helpers above: a nested
+# function that calls itself closes over its own cell, a reference cycle
+# that only the cyclic collector can free (DESIGN.md "Collector pauses").
+
+
+def _symbol_affix(productions, memo, symbol, reverse: bool) -> tuple[str, bool]:
+    """(affix, exact): exact means the symbol derives exactly that one
+    string, so a following symbol's affix may extend it."""
+    if isinstance(symbol, Lit):
+        text = symbol.text[::-1] if reverse else symbol.text
+        return text, True
+    if isinstance(symbol, CharSet):
+        if symbol.size() == 1:
+            return next(symbol.chars(limit=1)), True
+        return "", False
+    return _nt_affix(productions, memo, symbol, reverse)
+
+
+def _seq_affix(productions, memo, rhs: Rhs, reverse: bool) -> tuple[str, bool]:
+    parts: list[str] = []
+    for symbol in reversed(rhs) if reverse else rhs:
+        affix, exact = _symbol_affix(productions, memo, symbol, reverse)
+        parts.append(affix)
+        if not exact:
+            return "".join(parts), False
+    return "".join(parts), True
+
+
+def _nt_affix(
+    productions, memo: dict, nt: Nonterminal, reverse: bool
+) -> tuple[str, bool]:
+    if nt in memo:
+        entry = memo[nt]
+        # A cycle (entry is None) forces the affix open here.
+        return ("", False) if entry is None else entry
+    rhss = productions.get(nt)
+    if not rhss:
+        memo[nt] = ("", False)
+        return memo[nt]
+    memo[nt] = None
+    options = [_seq_affix(productions, memo, rhs, reverse) for rhs in rhss]
+    common = options[0][0]
+    for text, _ in options[1:]:
+        limit = min(len(common), len(text))
+        i = 0
+        while i < limit and common[i] == text[i]:
+            i += 1
+        common = common[:i]
+    exact = all(e for _, e in options) and all(
+        text == common for text, _ in options
+    )
+    memo[nt] = (common, exact)
+    return memo[nt]
+
+
+def _seq_derives(
+    text: str, table: set, rhs: Rhs, k: int, i: int, j: int
+) -> bool:
+    """Does ``rhs[k:]`` derive ``text[i:j]``, given the span ``table``?"""
+    if k == len(rhs):
+        return i == j
+    symbol = rhs[k]
+    if isinstance(symbol, Lit):
+        split = i + len(symbol.text)
+        return (
+            split <= j
+            and text[i:split] == symbol.text
+            and _seq_derives(text, table, rhs, k + 1, split, j)
+        )
+    if isinstance(symbol, CharSet):
+        return (
+            i < j
+            and text[i] in symbol
+            and _seq_derives(text, table, rhs, k + 1, i + 1, j)
+        )
+    return any(
+        (symbol, i, split) in table
+        and _seq_derives(text, table, rhs, k + 1, split, j)
+        for split in range(i, j + 1)
+    )
 
 
 def _canonical_symbol(symbol: Symbol, index: dict[Nonterminal, int]) -> str:

@@ -17,6 +17,8 @@ adds the instruments the ROADMAP's scalability work needs:
 * :mod:`repro.obs.stats` — ``sqlciv stats timeline.json``: a text gantt
   plus the bottleneck report that names the dominant phase and the
   serial fraction of a parallel run.
+* :mod:`repro.obs.gcprobe` — the ``--profile`` hook that counts and
+  times cyclic-collector pauses (``gc.collections.gen*``, ``gc.pause``).
 * :mod:`repro.obs.prometheus` — Prometheus text-format exposition of a
   metrics snapshot (the daemon's ``--metrics-addr`` endpoint).
 

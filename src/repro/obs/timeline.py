@@ -9,7 +9,8 @@ when**.  It records flat, phase-tagged spans —
 interpretation), ``verdict-memo`` (lookup, hit or miss),
 ``cascade:<policy>`` (the phase-2 check cascade), ``prefilter``,
 ``image.construct`` / ``image.rebind``, ``audit``, ``cache.page_load``,
-and ``pickle`` (result serialization for the IPC hop)
+``pickle`` (result serialization for the IPC hop), and ``gc`` (a cyclic
+collector pause, recorded by :mod:`repro.obs.gcprobe`)
 
 — per page, wherever the page actually ran.  Each page's spans travel
 home inside the picklable :class:`~repro.analysis.analyzer.PageResult`
@@ -120,6 +121,17 @@ class TimelineRecorder:
         finally:
             span["end"] = time.perf_counter()
             self._stack.pop()
+
+    def record(self, name: str, start: float, end: float) -> None:
+        """Add a finished span under the innermost open span; dropped
+        when no span is open (the collector probe's ``gc`` pauses)."""
+        if self.enabled and self._stack:
+            self._spans.append({
+                "phase": name,
+                "parent": self._stack[-1],
+                "start": start,
+                "end": end,
+            })
 
     def annotate(self, key: str, value) -> None:
         """Set a meta key on the innermost open span, if any."""

@@ -22,7 +22,7 @@ from repro.lang.image import fst_image, regular_image
 from repro.lang.intersect import intersect
 from repro.lang.regex import Pattern, search_language
 from repro.obs.metrics import PERF
-from repro.obs.trace import TRACE
+from repro.obs.timeline import TIMELINE
 
 from .values import ArrVal, StrVal, Value
 
@@ -224,9 +224,9 @@ class GrammarBuilder:
         The result grammar is imported into the builder's grammar under a
         fresh nonterminal; labels carry over per Theorem 3.1.
         """
-        with TRACE.span("intersect", op=hint) as span:
+        with TIMELINE.phase("intersect", op=hint):
             scope, value = self._scoped(value, hint)
-            span.set("operand_productions", scope.num_productions())
+            TIMELINE.annotate("operand_productions", scope.num_productions())
             refined, start = intersect(scope, value.nt, dfa)
         result = self._absorb(refined, start, hint, operand=value.nt)
         self.grammar.set_origin(
@@ -248,14 +248,14 @@ class GrammarBuilder:
     @gc_paused
     def image(self, value: StrVal, fst: FST, hint: str = "fx") -> StrVal:
         """Transducer image; widens the operand first if it would blow up."""
-        with TRACE.span("image", op=hint) as span:
+        with TIMELINE.phase("image", op=hint):
             scope, value = self._scoped(value, hint)
-            span.set("operand_productions", scope.num_productions())
+            TIMELINE.annotate("operand_productions", scope.num_productions())
             before_sample = self._prov_sample(value.nt)
             try:
                 imaged, start = fst_image(scope, value.nt, fst)
             except FSTExplosion:
-                span.set("explosion_fallback", True)
+                TIMELINE.annotate("explosion_fallback", True)
                 imaged, start = regular_image(
                     self.grammar.charset_closure(value.nt), fst
                 )

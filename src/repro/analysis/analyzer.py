@@ -31,7 +31,6 @@ from pathlib import Path
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
 from repro.php.includes import IncludeResolver
-from repro.obs.trace import TRACE
 
 from .audit import AuditReport, AuditTrail, audit_page
 from .diskcache import DiskCache, project_state_hash
@@ -176,15 +175,12 @@ class PageResult:
     #: worker-side perf delta (parallel runs only; folded into the
     #: driver's recorder and cleared by :func:`run_pages`)
     perf: dict | None = None
-    #: this page's span tree (:meth:`repro.obs.trace.Span.to_dict` form) when
-    #: ``--trace`` is on; recorded wherever the page actually ran and
-    #: reassembled by the driver in page order, so a parallel run's trace
-    #: has the same tree shape as a serial run's
-    trace: dict | None = None
-    #: this page's phase-tagged timeline capture (``--profile=timeline``):
+    #: this page's span capture (``--profile=timeline`` / ``--trace``):
     #: the :meth:`repro.obs.timeline._PageCapture.payload` dict, tagged
     #: with the recording process id so the driver can assign worker
-    #: lanes; ``None`` when timeline recording is off
+    #: lanes; recorded wherever the page actually ran and reassembled by
+    #: the driver in page order, so a parallel run's views match a
+    #: serial run's.  ``None`` when recording is off
     timeline: dict | None = None
     #: the page's file-dependency closure, as sorted project-relative
     #: POSIX paths: every file whose *content* can influence this page's
@@ -237,14 +233,15 @@ def _analyze_one_page(
         disk_cache=disk_cache,
         policies=policies,
     )
-    with TRACE.span("phase1") as phase1_span:
-        with PERF.timer("phase1.string_analysis"), TIMELINE.phase("absdom"):
-            result = analysis.analyze_file(page)
-        phase1_span.set("hotspots", len(result.hotspots))
-        phase1_span.set(
+    with PERF.timer("phase1.string_analysis"), TIMELINE.phase("absdom"):
+        result = analysis.analyze_file(page)
+        TIMELINE.annotate("hotspots", len(result.hotspots))
+        TIMELINE.annotate(
             "grammar_nonterminals", len(result.grammar.productions)
         )
-        phase1_span.set("grammar_productions", result.grammar.num_productions())
+        TIMELINE.annotate(
+            "grammar_productions", result.grammar.num_productions()
+        )
     PERF.incr("pages.analyzed")
     string_seconds = time.perf_counter() - started
 
@@ -252,21 +249,21 @@ def _analyze_one_page(
     reports: list[HotspotReport] = []
     nonterminals = 0
     productions = 0
-    with TRACE.span("phase2") as phase2_span:
-        with PERF.timer("phase2.checks"), TIMELINE.phase("phase2"):
-            for spot in result.hotspots:
-                scope = result.grammar.subgrammar(spot.query.nt)
-                nonterminals += len(scope.productions)
-                scope_productions = scope.num_productions()
-                productions += scope_productions
-                PERF.gauge("grammar.hotspot_productions.max", scope_productions)
-                reports.append(_check_spot(result.grammar, spot, policies))
-        phase2_span.set("hotspots", len(reports))
+    with PERF.timer("phase2.checks"), TIMELINE.phase(
+        "phase2", hotspots=len(result.hotspots)
+    ):
+        for spot in result.hotspots:
+            scope = result.grammar.subgrammar(spot.query.nt)
+            nonterminals += len(scope.productions)
+            scope_productions = scope.num_productions()
+            productions += scope_productions
+            PERF.gauge("grammar.hotspot_productions.max", scope_productions)
+            reports.append(_check_spot(result.grammar, spot, policies))
     check_seconds = time.perf_counter() - started
 
     page_audit = None
     if audit:
-        with TRACE.span("audit"), TIMELINE.phase("audit"):
+        with TIMELINE.phase("audit"):
             page_audit = audit_page(result)
         # a hotspot's verdict is only as trustworthy as the weakest
         # construct on its page's include closure
@@ -298,18 +295,15 @@ def _page_result(
 ) -> PageResult:
     """One page, consulting the on-disk page cache when available.
 
-    Always the page-span boundary: the span tree for this page is
-    recorded here (a fresh root span whether the result was analyzed or
-    served from disk) and shipped in ``PageResult.trace``; likewise the
-    page's timeline capture (``PageResult.timeline``)."""
-    with TIMELINE.page(str(page)) as timeline_capture:
-        with TRACE.capture("page", page=str(page)) as page_span:
-            result = _page_result_inner(
-                project_root, page, audit, parse_cache, resolver, disk_cache,
-                project_state, page_span, policies,
-            )
-    result.trace = page_span.to_dict() if TRACE.enabled else None
-    result.timeline = timeline_capture.payload()
+    Always the page-capture boundary: this page's spans are recorded
+    here (a fresh capture whether the result was analyzed or served from
+    disk) and shipped in ``PageResult.timeline``."""
+    with TIMELINE.page(str(page)) as capture:
+        result = _page_result_inner(
+            project_root, page, audit, parse_cache, resolver, disk_cache,
+            project_state, capture, policies,
+        )
+    result.timeline = capture.payload()
     return result
 
 
@@ -321,7 +315,7 @@ def _page_result_inner(
     resolver: IncludeResolver | None,
     disk_cache: DiskCache | None,
     project_state: str | None,
-    page_span,
+    capture,
     policies=None,
 ) -> PageResult:
     key = None
@@ -346,7 +340,7 @@ def _page_result_inner(
             PERF.incr("pages.from_disk_cache")
             cached.from_cache = True
             cached.perf = None
-            page_span.set("from_cache", True)
+            capture.set("from_cache", True)
             return cached
     if resolver is None:
         resolver = IncludeResolver(project_root)

@@ -11,9 +11,10 @@ run renders byte-for-byte what a serial cold run renders.
 
 Observability (see README "Observability"): ``--sarif FILE`` writes the
 findings with their taint-chain codeFlows as SARIF 2.1.0, ``--trace
-FILE`` records the per-page span tree as JSON lines, and ``--log-level``
-controls the stderr diagnostics routed through :mod:`logging` — stdout
-carries only the report (or the single ``--json`` document).
+FILE`` renders the recorded spans as a per-page tree in JSON lines,
+and ``--log-level`` controls the stderr diagnostics routed through
+:mod:`logging` — stdout carries only the report (or the single
+``--json`` document).
 
 Exit codes:
 
@@ -40,7 +41,6 @@ from repro.obs import timeline as obs_timeline
 from repro.obs.gcprobe import GC_PROBE
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF, render_table
-from repro.obs.trace import TRACE
 
 from .analyzer import entry_pages, run_pages
 from .reports import SOUND, UNSOUND_CAVEATS, json_document
@@ -104,11 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--verbose", "-v", action="store_true", help="show verified hotspots too"
-    )
-    parser.add_argument(
-        "--xss",
-        action="store_true",
-        help="also check echo/print sinks for cross-site scripting",
     )
     parser.add_argument(
         "--audit",
@@ -197,10 +192,11 @@ def main(argv: list[str] | None = None) -> int:
         "--trace",
         metavar="FILE",
         help=(
-            "record a span tree per page (parse, includes, phase 1, FST "
-            "images, intersections, phase 2 checks) and write it as JSON "
-            "lines to FILE; the tree shape is identical for serial, "
-            "parallel, and cache-served runs"
+            "write the recorded spans as a tree per page (parse, "
+            "includes, phase 1, FST images, intersections, phase 2 "
+            "checks) in JSON lines to FILE; the tree shape is identical "
+            "for serial and parallel runs, and span ids match "
+            "--profile=timeline's"
         ),
     )
     parser.add_argument(
@@ -236,8 +232,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--policy-config: {exc}")
 
     PERF.reset()
-    TRACE.configure(bool(args.trace))
-    TIMELINE.configure(args.profile == "timeline")
+    # both views render the same recorder's page captures; only the
+    # trace carries per-span perf deltas
+    TIMELINE.configure(
+        args.profile == "timeline" or bool(args.trace), perf=bool(args.trace)
+    )
     GC_PROBE.configure(bool(args.profile))
 
     if args.pages:
@@ -283,17 +282,6 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             print(report.render())
             print()
-        if args.xss:
-            from .xss import analyze_page_xss
-
-            for xss_report in analyze_page_xss(root, page_result.page):
-                if xss_report.verified and not args.verbose:
-                    continue
-                status = "verified" if xss_report.verified else "XSS"
-                print(f"echo {xss_report.file}:{xss_report.line}: {status}")
-                for finding in xss_report.findings:
-                    print("  " + finding.render().replace("\n", "\n  "))
-                any_violation |= not xss_report.verified
         if page_audit is not None and (
             args.verbose or page_audit.confidence != SOUND
         ):
@@ -317,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace:
         trace.write_run(
             args.trace,
-            [r.trace for r in results if r.trace is not None],
+            [r.timeline for r in results],
             attrs={"root": str(root), "jobs": args.jobs},
         )
         log.info("trace written to %s", args.trace)

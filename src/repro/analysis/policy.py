@@ -42,7 +42,6 @@ from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
 from repro.sql.bridge import TokenizationFailure, grammar_to_tokens
 from repro.sql.grammar import sql_grammar
-from repro.obs.trace import TRACE
 
 from . import quotes
 from .provenance import trace_provenance
@@ -124,11 +123,11 @@ def check_hotspot(
         cache = VERDICT_CACHE
     report = HotspotReport(file=hotspot.file, line=hotspot.line, sink=hotspot.sink)
     root = hotspot.query.nt
-    with TRACE.span(
+    with TIMELINE.phase(
         "hotspot", file=hotspot.file, line=hotspot.line, sink=hotspot.sink
-    ) as span:
+    ):
         scope = grammar.subgrammar(root).trim(root)
-        with TIMELINE.phase("verdict-memo") as memo_phase:
+        with TIMELINE.phase("verdict-memo"):
             with PERF.latency("policy.verdict_lookup_seconds"):
                 with PERF.timer("phase2.fingerprint"):
                     order = scope.canonical_order(root)
@@ -136,20 +135,17 @@ def check_hotspot(
                     if namespace:
                         key = f"{namespace}:{key}"
                 cached = cache.get(key)
+            outcome = "miss" if cached is None else "hit"
+            TIMELINE.annotate("outcome", outcome)
         PERF.gauge("policy.scope_productions.max", scope.num_productions())
-        span.set("scope_productions", scope.num_productions())
-        span.set("fingerprint", key[:16])
+        TIMELINE.annotate("scope_productions", scope.num_productions())
+        TIMELINE.annotate("fingerprint", key[:16])
+        TIMELINE.annotate("verdict_cache", outcome)
         if cached is not None:
             PERF.incr("policy.verdict_cache.hits")
-            span.set("verdict_cache", "hit")
-            if memo_phase is not None:
-                memo_phase.setdefault("meta", {})["outcome"] = "hit"
             _report_from_cached(cached, report, order)
         else:
             PERF.incr("policy.verdict_cache.misses")
-            span.set("verdict_cache", "miss")
-            if memo_phase is not None:
-                memo_phase.setdefault("meta", {})["outcome"] = "miss"
             with PERF.timer("phase2.cascade"), TIMELINE.phase(
                 f"cascade:{namespace or 'sql'}"
             ):

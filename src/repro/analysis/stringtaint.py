@@ -26,7 +26,6 @@ from repro.lang.regex import Pattern
 from repro.obs.metrics import PERF
 from repro.php import ast, builtins
 from repro.obs.timeline import TIMELINE
-from repro.obs.trace import TRACE
 from repro.php.includes import IncludeResolver
 from repro.php.parser import PhpParseError, parse
 
@@ -222,12 +221,10 @@ class StringTaintAnalysis:
         # every file we so much as try to read is a dependency of this
         # page — parse failures included (the failure is reported)
         self.dep_files.add(str(path))
-        with TRACE.span("parse", file=str(path)) as span, TIMELINE.phase(
-            "parse"
-        ):
+        with TIMELINE.phase("parse", file=str(path)):
             if path in self._parse_cache:
                 PERF.incr("parse.memory_hits")
-                span.set("cache", "memory")
+                TIMELINE.annotate("cache", "memory")
                 tree, error = self._parse_cache[path]
             else:
                 tree, error = self._parse_uncached(path)
@@ -255,9 +252,9 @@ class StringTaintAnalysis:
         if self.disk_cache is not None:
             entry = self.disk_cache.load("ast", ast_key)
             if entry is not None:
-                TRACE.annotate("cache", "disk")
+                TIMELINE.annotate("cache", "disk")
                 return entry
-        TRACE.annotate("cache", "miss")
+        TIMELINE.annotate("cache", "miss")
         try:
             with PERF.timer("parse"):
                 source = data.decode("utf-8")
@@ -513,9 +510,7 @@ class StringTaintAnalysis:
             env.set(name, value)
 
     def _exec_Include(self, stmt: ast.Include, env: Env) -> None:
-        with TRACE.span(
-            "include", file=self.current_file, line=stmt.line
-        ) as span, TIMELINE.phase("include"):
+        with TIMELINE.phase("include", file=self.current_file, line=stmt.line):
             path_value = self.builder.to_str(self.eval(stmt.path, env))
             include_kinds = self._construct_sinks.get("include", ())
             if include_kinds:
@@ -547,7 +542,7 @@ class StringTaintAnalysis:
             # resolved files' contents: adding/removing files can change it
             if not isinstance(stmt.path, ast.Literal) or not files:
                 self.layout_sensitive = True
-            span.set("resolved", len(files))
+            TIMELINE.annotate("resolved", len(files))
             log.debug(
                 "include at %s:%s resolved to %d file(s)",
                 self.current_file, stmt.line, len(files),

@@ -37,7 +37,6 @@ from pathlib import Path
 
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE
-from repro.obs.trace import TRACE
 
 from .scheduler import FarmTask, WorkStealingScheduler
 from .workers import BatchConfig, farm_worker_main
@@ -112,8 +111,7 @@ class AnalysisFarm:
             project_state=project_state,
             policies=policies,
             profile=profile,
-            trace=TRACE.enabled,
-            timeline=TIMELINE.enabled,
+            timeline=TIMELINE.mode,
             epoch=epoch,
             batch_id=f"{os.getpid()}:{self._batch_counter}",
         )

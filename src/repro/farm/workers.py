@@ -30,7 +30,6 @@ from repro.analysis.diskcache import DiskCache
 from repro.obs.gcprobe import GC_PROBE
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE, append_span
-from repro.obs.trace import TRACE
 from repro.php.includes import IncludeResolver
 
 
@@ -47,8 +46,8 @@ class BatchConfig:
     project_state: str | None
     policies: object
     profile: bool
-    trace: bool
-    timeline: bool
+    #: the driver's ``TIMELINE.mode``: (recording, perf deltas)
+    timeline: tuple[bool, bool]
     epoch: int
     #: unique per (driver pid, batch ordinal): tags result envelopes
     batch_id: str
@@ -93,10 +92,8 @@ def _warm_policies(config: BatchConfig) -> None:
 
 
 def _configure_obs(config: BatchConfig) -> None:
-    if TRACE.enabled != config.trace:
-        TRACE.configure(config.trace)
-    if TIMELINE.enabled != config.timeline:
-        TIMELINE.configure(config.timeline)
+    if TIMELINE.mode != config.timeline:
+        TIMELINE.configure(*config.timeline)
     GC_PROBE.configure(config.profile)
 
 

@@ -19,7 +19,6 @@ from collections import OrderedDict, defaultdict
 
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
-from repro.obs.trace import TRACE
 
 from .charset import CharSet
 from .fst import FST, FSTExplosion, map_marker_charset, render_output
@@ -168,7 +167,7 @@ def fst_image(
         entry = IMAGE_CACHE.get(fst, fingerprint)
     if entry is not None:
         PERF.incr("image.cache.hits")
-        TRACE.annotate("cache", "hit")
+        TIMELINE.annotate("cache", "hit")
         cached_grammar, cached_start, recipes = entry
         # a hit replays the memoized construction onto this grammar's
         # names, one recipe per cached nonterminal — the replay count is
@@ -177,7 +176,7 @@ def fst_image(
         with PERF.timer("image.rebind"), TIMELINE.phase("image.rebind"):
             return _rebind_image(cached_grammar, cached_start, recipes, grammar)
     PERF.incr("image.cache.misses")
-    TRACE.annotate("cache", "miss")
+    TIMELINE.annotate("cache", "miss")
     with PERF.timer("image.construct"), TIMELINE.phase("image.construct"):
         result, start, recipes = _fst_image_uncached(grammar, root, fst)
     IMAGE_CACHE.put(fst, fingerprint, result, start, recipes)

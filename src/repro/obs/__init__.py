@@ -10,10 +10,13 @@ adds the instruments the ROADMAP's scalability work needs:
   grammar sizes, memo lookup latencies).  Snapshots are plain dicts, so
   they pickle across the ``ProcessPoolExecutor`` boundary and merge
   deterministically in page order.
-* :mod:`repro.obs.trace` — deterministic span trees (``--trace``).
-* :mod:`repro.obs.timeline` — the per-worker timeline profiler
-  (``--profile=timeline``): phase-tagged spans with worker-lane
-  attribution, written as ``timeline.json``.
+* :mod:`repro.obs.timeline` — the one span recorder
+  (:data:`~repro.obs.timeline.TIMELINE`): phase-tagged spans captured
+  per page wherever the page ran, with worker-lane attribution, written
+  as ``timeline.json`` (``--profile=timeline``).
+* :mod:`repro.obs.trace` — the ``--trace`` view of the same page
+  captures: a deterministic JSONL span tree over the memo-independent
+  phases, sharing the timeline's span ids.
 * :mod:`repro.obs.stats` — ``sqlciv stats timeline.json``: a text gantt
   plus the bottleneck report that names the dominant phase and the
   serial fraction of a parallel run.

@@ -1,18 +1,22 @@
-"""The per-worker timeline profiler (``--profile=timeline``).
+"""The span recorder behind ``--profile=timeline`` and ``--trace``.
 
-Where ``--profile`` answers "how much, in total" and ``--trace`` answers
-"under which include", the timeline answers the scheduling question the
-parallel-speedup mystery needs: **which worker was doing which phase,
-when**.  It records flat, phase-tagged spans —
+Where ``--profile`` answers "how much, in total", the recorder answers
+**which worker was doing which phase, when, under which include**.  It
+records flat, phase-tagged spans —
 
 ``parse``, ``include``, ``absdom`` (the phase-1 abstract
-interpretation), ``verdict-memo`` (lookup, hit or miss),
-``cascade:<policy>`` (the phase-2 check cascade), ``prefilter``,
-``image.construct`` / ``image.rebind``, ``audit``, ``cache.page_load``,
-``pickle`` (result serialization for the IPC hop), and ``gc`` (a cyclic
-collector pause, recorded by :mod:`repro.obs.gcprobe`)
+interpretation), ``intersect`` / ``image`` (its grammar refinements and
+transducer images), ``phase2``, ``hotspot`` (one hotspot's check),
+``verdict-memo`` (lookup, hit or miss), ``cascade:<policy>`` (the
+phase-2 check cascade), ``prefilter``, ``image.construct`` /
+``image.rebind``, ``audit``, ``cache.page_load``, ``pickle`` (result
+serialization for the IPC hop), and ``gc`` (a cyclic collector pause,
+recorded by :mod:`repro.obs.gcprobe`)
 
-— per page, wherever the page actually ran.  Each page's spans travel
+— per page, wherever the page actually ran.  Two views render the same
+captures: :func:`assemble` (``timeline.json``) and
+:func:`repro.obs.trace.render_run` (the ``--trace`` JSONL tree, which
+shows only :data:`TRACE_PHASES`).  Each page's spans travel
 home inside the picklable :class:`~repro.analysis.analyzer.PageResult`
 (tagged with the recording process id), and the driver assembles one
 ``timeline.json`` with a **lane** per worker process: lane 0 is the
@@ -26,9 +30,11 @@ run (Linux ``CLOCK_MONOTONIC``), they are comparable across the driver
 and its forked/spawned workers, which is what lets one run-relative
 clock order spans from different processes on a shared gantt.
 
-Recording is off unless ``--profile=timeline`` is given, and the
-disabled paths are a singleton attribute check — and by construction
-(DESIGN 5i) enabling it never changes an analysis output byte.
+Recording is off unless ``--profile=timeline`` or ``--trace`` is
+given, and the disabled paths are a singleton attribute check — and by
+construction (DESIGN 5i) enabling it never changes an analysis output
+byte.  Only ``--trace`` adds perf deltas (:meth:`PerfRecorder.diff
+<repro.obs.metrics.PerfRecorder.diff>`) to the spans its view renders.
 """
 
 from __future__ import annotations
@@ -40,13 +46,29 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.obs.metrics import PERF
+
 TIMELINE_FORMAT = "sqlciv-timeline/1"
+
+#: The spans the ``--trace`` view renders: those whose existence does
+#: not depend on per-process memo state (``cascade:*``, ``prefilter``,
+#: ``image.construct``/``image.rebind`` run only on a memo miss;
+#: ``cache.page_load``, ``gc`` and ``pickle`` only under some options),
+#: so a serial and a ``--jobs N`` run render the same tree.  ``page`` is
+#: the capture itself.
+TRACE_PHASES = frozenset({
+    "page", "parse", "include", "absdom", "phase2", "hotspot",
+    "intersect", "image", "audit",
+})
 
 
 class _NullCapture:
     """What :meth:`TimelineRecorder.page` yields while recording is off."""
 
     __slots__ = ()
+
+    def set(self, key: str, value) -> None:
+        pass
 
     def payload(self) -> None:
         return None
@@ -56,34 +78,52 @@ _NULL_CAPTURE = _NullCapture()
 
 
 class _PageCapture:
-    """One page's span list plus its wall-clock bounds."""
+    """One page's span list plus its wall-clock bounds, page-level meta
+    and (under ``--trace``) the page's perf delta."""
 
-    __slots__ = ("page", "t_start", "t_end", "spans")
+    __slots__ = ("page", "t_start", "t_end", "spans", "meta", "perf")
 
     def __init__(self, page: str) -> None:
         self.page = page
         self.t_start = 0.0
         self.t_end = 0.0
         self.spans: list[dict] = []
+        self.meta: dict = {}
+        self.perf: dict | None = None
+
+    def set(self, key: str, value) -> None:
+        self.meta[key] = value
 
     def payload(self) -> dict:
         """The picklable form shipped in ``PageResult.timeline``."""
-        return {
+        payload = {
             "page": self.page,
             "t_start": self.t_start,
             "t_end": self.t_end,
             "pid": os.getpid(),
             "spans": self.spans,
         }
+        if self.meta:
+            payload["meta"] = self.meta
+        if self.perf:
+            payload["perf"] = self.perf
+        return payload
+
+
+def _perf_delta(before: dict) -> dict | None:
+    """The perf delta since ``before``, empty sections dropped."""
+    delta = {k: v for k, v in PERF.diff(before).items() if v}
+    return delta or None
 
 
 class TimelineRecorder:
-    """The process-wide phase recorder (:data:`TIMELINE`).
+    """The process-wide span recorder (:data:`TIMELINE`).
 
-    ``enabled`` gates everything.  Spans are stored flat (dicts with a
-    ``parent`` index), nested via an open-span stack; :meth:`page`
-    isolates a page's spans exactly like ``TRACE.capture`` isolates a
-    page's tree, so worker-recorded pages reassemble identically to
+    ``enabled`` gates everything; ``perf`` (``--trace``) additionally
+    attaches a perf delta to every span in :data:`TRACE_PHASES`.  Spans
+    are stored flat (dicts with a ``parent`` index), nested via an
+    open-span stack; :meth:`page` isolates a page's spans from the
+    enclosing state, so worker-recorded pages reassemble identically to
     driver-recorded ones.  Driver-side phases recorded outside any page
     (directory scan, project-state hash) accumulate until
     :meth:`drain_driver_spans`.
@@ -91,13 +131,20 @@ class TimelineRecorder:
 
     def __init__(self) -> None:
         self.enabled = False
+        self.perf = False
         self._spans: list[dict] = []
         self._stack: list[int] = []
 
-    def configure(self, enabled: bool) -> None:
+    def configure(self, enabled: bool, perf: bool = False) -> None:
         self.enabled = enabled
+        self.perf = enabled and perf
         self._spans = []
         self._stack = []
+
+    @property
+    def mode(self) -> tuple[bool, bool]:
+        """``(enabled, perf)``: what farm workers copy from the driver."""
+        return (self.enabled, self.perf)
 
     @contextmanager
     def phase(self, name: str, **meta):
@@ -116,10 +163,15 @@ class TimelineRecorder:
         index = len(self._spans)
         self._spans.append(span)
         self._stack.append(index)
+        before = PERF.snapshot() if self.perf and name in TRACE_PHASES else None
         try:
             yield span
         finally:
             span["end"] = time.perf_counter()
+            if before is not None:
+                perf = _perf_delta(before)
+                if perf:
+                    span["perf"] = perf
             self._stack.pop()
 
     def record(self, name: str, start: float, end: float) -> None:
@@ -148,11 +200,14 @@ class TimelineRecorder:
         saved_spans, saved_stack = self._spans, self._stack
         self._spans, self._stack = [], []
         capture = _PageCapture(page)
+        before = PERF.snapshot() if self.perf else None
         capture.t_start = time.perf_counter()
         try:
             yield capture
         finally:
             capture.t_end = time.perf_counter()
+            if before is not None:
+                capture.perf = _perf_delta(before)
             capture.spans = self._spans
             self._spans, self._stack = saved_spans, saved_stack
 
@@ -296,11 +351,52 @@ def write_timeline(path: str | Path, timeline: dict) -> None:
     )
 
 
+_NUMBER = (int, float)
+#: the keys (and their types) every consumer of a document relies on
+_LANE_KEYS = {"lane": int, "role": str}
+_SPAN_KEYS = {
+    "phase": str, "parent": (int, type(None)), "start": _NUMBER, "dur": _NUMBER,
+}
+_PAGE_KEYS = {
+    "page": str, "lane": int, "start": _NUMBER, "dur": _NUMBER, "spans": list,
+}
+
+
+def _malformed(data: dict) -> str | None:
+    """What a truncated or hand-edited document lacks, or None."""
+    if not isinstance(data.get("wall_seconds"), _NUMBER):
+        return "no numeric 'wall_seconds'"
+    for key in ("lanes", "driver_spans", "pages"):
+        if not isinstance(data.get(key), list):
+            return f"no {key!r} list"
+    entries = [(f"lanes[{i}]", lane, _LANE_KEYS)
+               for i, lane in enumerate(data["lanes"])]
+    entries += [(f"driver_spans[{i}]", span, _SPAN_KEYS)
+                for i, span in enumerate(data["driver_spans"])]
+    for i, page in enumerate(data["pages"]):
+        entries.append((f"pages[{i}]", page, _PAGE_KEYS))
+        if isinstance(page, dict) and isinstance(page.get("spans"), list):
+            entries += [(f"pages[{i}].spans[{j}]", span, _SPAN_KEYS)
+                        for j, span in enumerate(page["spans"])]
+    for where, entry, keys in entries:
+        if not isinstance(entry, dict):
+            return f"{where} is not an object"
+        for key, kind in keys.items():
+            if not isinstance(entry.get(key), kind):
+                return f"{where} has no well-typed {key!r}"
+    return None
+
+
 def load_timeline(path: str | Path) -> dict:
+    """Read a ``timeline.json``; ``ValueError`` unless it is a complete
+    :data:`TIMELINE_FORMAT` document."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or data.get("format") != TIMELINE_FORMAT:
         raise ValueError(
             f"{path} is not a {TIMELINE_FORMAT} document "
             f"(format={data.get('format') if isinstance(data, dict) else None!r})"
         )
+    problem = _malformed(data)
+    if problem:
+        raise ValueError(f"{path} is a malformed {TIMELINE_FORMAT} document: {problem}")
     return data

@@ -1,247 +1,125 @@
-"""Run telemetry: deterministic span trees and a JSONL event stream.
+"""The ``--trace`` view: the recorder's page captures as a JSONL span tree.
 
 The analyzer's pipeline — parse → include resolution → phase-1 fixpoint
 → intersections/images → phase-2 checks — runs per page, possibly across
-worker processes.  ``--profile`` (:mod:`repro.obs.metrics`) answers "how much,
-in total"; this module answers "where, in which page, under which
-include" by recording a tree of **spans**:
+worker processes.  ``--profile`` (:mod:`repro.obs.metrics`) answers "how
+much, in total"; the trace answers "where, in which page, under which
+include".  It is not a recorder of its own: it renders the page captures
+the span recorder (:data:`repro.obs.timeline.TIMELINE`) ships home in
+``PageResult.timeline``, the same captures ``timeline.json`` is built
+from.
 
-* a span has a name, attributes (cache hit/miss, grammar sizes, …),
-  a wall-clock duration, and children;
-* the perf delta (:meth:`repro.obs.metrics.PerfRecorder.diff`) observed while
-  the span was open is attached at span exit, so the sum of span deltas
-  and the ``--profile`` table agree by construction;
-* span **ids are deterministic**: derived from the span's position in
-  the tree (parent id, child index, name), never from timestamps or
-  memory addresses.  Two runs that do the same work in the same order —
-  in particular a serial and a ``--jobs N`` run over the same project —
-  produce the same id for every span.
-
-Worker processes record their page subtrees locally (the recorder is
-enabled via the pool initializer); each page's finished tree travels
-home inside the picklable :class:`~repro.analysis.analyzer.PageResult`
-and the driver reassembles the run tree **in page order**, so the tree
-shape is independent of worker scheduling.
+* only the spans in :data:`~repro.obs.timeline.TRACE_PHASES` are
+  rendered — the ones whose existence does not depend on which process
+  held which memo entry — and a rendered span's parent is its nearest
+  rendered ancestor, so a serial and a ``--jobs N`` run over the same
+  project render the same tree;
+* span **ids** are the timeline's: :func:`~repro.obs.timeline.span_id`
+  of (page, phase, occurrence), never timestamps or memory addresses,
+  so a trace line and the timeline span it renders share one id;
+* a rendered span carries the perf delta
+  (:meth:`repro.obs.metrics.PerfRecorder.diff`) observed while it was
+  open, so the sum of span deltas and the ``--profile`` table agree by
+  construction.
 
 The JSONL stream (``--trace out.jsonl``) is one object per line:
 
-``{"event": "meta", "format": "sqlciv-trace/1", ...}``
+``{"event": "meta", "format": "sqlciv-trace/2", ...}``
     first line; identifies the stream.
 ``{"event": "span", "id", "parent", "name", "start", "dur", "attrs",
    "perf"}``
-    one per span, in pre-order.  ``start`` is seconds relative to the
-    enclosing page span (0 for roots) — offsets are comparable within a
-    page, not across pages of a parallel run.  ``perf`` holds the
-    counter/timer deltas and gauge high-water marks seen inside the
-    span; empty sections are omitted.
-
-Recording is off by default and the disabled paths are no-ops cheap
-enough to leave inline in the analysis (a singleton attribute check).
+    one per span, in pre-order: a ``run`` root, one ``page`` span per
+    page in page order, and the page's rendered spans.  ``start`` is
+    seconds relative to the enclosing page span (0 for roots) — offsets
+    are comparable within a page, not across pages of a parallel run.
+    ``attrs`` is the span's meta; ``perf`` holds the counter/timer
+    deltas and gauge high-water marks seen inside the span; empty
+    sections are omitted.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
-from repro.obs.metrics import PERF
+from repro.obs.timeline import TRACE_PHASES, span_id
 
-TRACE_FORMAT = "sqlciv-trace/1"
-
-
-class Span:
-    """One node of the span tree (picklable via :meth:`to_dict`)."""
-
-    __slots__ = ("name", "attrs", "children", "t_start", "t_end", "perf")
-
-    def __init__(self, name: str, attrs: dict | None = None) -> None:
-        self.name = name
-        self.attrs: dict = dict(attrs or {})
-        self.children: list["Span"] = []
-        self.t_start = 0.0
-        self.t_end = 0.0
-        self.perf: dict | None = None
-
-    def set(self, key: str, value) -> None:
-        self.attrs[key] = value
-
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.t_end - self.t_start)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "perf": self.perf,
-            "children": [child.to_dict() for child in self.children],
-        }
+TRACE_FORMAT = "sqlciv-trace/2"
 
 
-class _NullSpan:
-    """What :meth:`TraceRecorder.span` yields while tracing is off."""
-
-    __slots__ = ()
-
-    def set(self, key: str, value) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class TraceRecorder:
-    """The process-wide span recorder (:data:`TRACE`).
-
-    ``enabled`` gates everything; when off, :meth:`span` and
-    :meth:`annotate` return immediately.  The recorder keeps only the
-    *open* span stack — finished roots are handed to their creator via
-    :meth:`capture`, never accumulated, so tracing adds no per-run
-    memory beyond the trees the caller chooses to keep.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._stack: list[Span] = []
-
-    def configure(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._stack = []
-
-    @contextmanager
-    def span(self, name: str, **attrs):
-        """Open a child span under the innermost open span."""
-        if not self.enabled:
-            yield _NULL_SPAN
-            return
-        span = Span(name, attrs)
-        parent = self._stack[-1] if self._stack else None
-        self._stack.append(span)
-        before = PERF.snapshot()
-        span.t_start = time.perf_counter()
-        try:
-            yield span
-        finally:
-            span.t_end = time.perf_counter()
-            span.perf = _compact_perf(PERF.diff(before))
-            self._stack.pop()
-            if parent is not None:
-                parent.children.append(span)
-
-    @contextmanager
-    def capture(self, name: str, **attrs):
-        """Open a *root* span, isolated from any enclosing stack.
-
-        Used at page boundaries: the finished span is not attached to a
-        parent — the caller serializes it (``span.to_dict()``) into the
-        page's result, and the driver reassembles the run tree in page
-        order regardless of which process recorded what.
-        """
-        if not self.enabled:
-            yield _NULL_SPAN
-            return
-        saved = self._stack
-        self._stack = []
-        span = Span(name, attrs)
-        self._stack.append(span)
-        before = PERF.snapshot()
-        span.t_start = time.perf_counter()
-        try:
-            yield span
-        finally:
-            span.t_end = time.perf_counter()
-            span.perf = _compact_perf(PERF.diff(before))
-            self._stack = saved
-
-    def annotate(self, key: str, value) -> None:
-        """Set an attribute on the innermost open span, if any.
-
-        Lets leaf code (cache lookups deep in :mod:`repro.lang.image`)
-        report hit/miss without knowing about the span structure above.
-        """
-        if self.enabled and self._stack:
-            self._stack[-1].attrs[key] = value
-
-
-#: The process-wide recorder; workers enable their own copy in the pool
-#: initializer and ship finished page trees home inside PageResult.
-TRACE = TraceRecorder()
-
-
-def _compact_perf(delta: dict) -> dict | None:
-    """Drop empty sections; None when nothing at all was recorded."""
-    compact = {k: v for k, v in delta.items() if v}
-    return compact or None
-
-
-def span_id(parent_id: str, index: int, name: str) -> str:
-    """Deterministic id for the ``index``-th child named ``name``.
-
-    A function of tree position only — identical for every run that does
-    the same work in the same order, across processes and machines.
-    """
-    seed = f"{parent_id}/{index}:{name}".encode("utf-8", errors="replace")
-    return hashlib.sha256(seed).hexdigest()[:16]
-
-
-def _emit(lines: list[str], node: dict, parent_id: str, index: int,
-          base: float) -> None:
-    sid = span_id(parent_id, index, node["name"])
+def _record(sid: str, parent: str | None, name: str, start: float,
+            dur: float, attrs: dict, perf: dict | None) -> str:
     record = {
         "event": "span",
         "id": sid,
-        "parent": parent_id or None,
-        "name": node["name"],
-        "start": round(node["t_start"] - base, 6),
-        "dur": round(node["t_end"] - node["t_start"], 6),
-        "attrs": node["attrs"],
+        "parent": parent,
+        "name": name,
+        "start": round(start, 6),
+        "dur": round(dur, 6),
+        "attrs": attrs,
     }
-    if node.get("perf"):
-        record["perf"] = node["perf"]
-    lines.append(json.dumps(record, sort_keys=False))
-    for child_index, child in enumerate(node["children"]):
-        _emit(lines, child, sid, child_index, base)
+    if perf:
+        record["perf"] = perf
+    return json.dumps(record, sort_keys=False)
 
 
-def render_run(page_trees: list[dict | None], attrs: dict | None = None) -> str:
+def _page_lines(payload: dict, run_id: str) -> list[str]:
+    """The ``page`` span and its rendered descendants, in pre-order."""
+    page = payload["page"]
+    base = payload["t_start"]
+    page_id = span_id(page, "page", 0)
+    lines = [_record(
+        page_id, run_id, "page", 0.0, payload["t_end"] - base,
+        {"page": page, **payload.get("meta", {})}, payload.get("perf"),
+    )]
+    # per recorded span: its own id if rendered, else its nearest
+    # rendered ancestor's (spans precede their children in the list)
+    anchor: list[str] = []
+    occurrences: dict[str, int] = {}
+    for span in payload["spans"]:
+        parent = page_id if span["parent"] is None else anchor[span["parent"]]
+        phase = span["phase"]
+        if phase not in TRACE_PHASES:
+            anchor.append(parent)
+            continue
+        occurrence = occurrences.get(phase, 0)
+        occurrences[phase] = occurrence + 1
+        sid = span_id(page, phase, occurrence)
+        anchor.append(sid)
+        lines.append(_record(
+            sid, parent, phase, span["start"] - base,
+            span["end"] - span["start"], span.get("meta", {}), span.get("perf"),
+        ))
+    return lines
+
+
+def render_run(page_payloads: list[dict | None], attrs: dict | None = None) -> str:
     """The JSONL document for one run: meta line + pre-order span lines.
 
-    ``page_trees`` are the per-page root spans (``Span.to_dict`` form)
-    **in page order**; ``None`` entries (a page analyzed with tracing
-    off) are skipped.  Each page tree hangs under a synthetic ``run``
-    root whose id anchors the deterministic id scheme.
+    ``page_payloads`` are the per-page captures (``PageResult.timeline``)
+    **in page order**; ``None`` entries (a page analyzed with recording
+    off) are skipped.  Each page hangs under a synthetic ``run`` root.
     """
-    trees = [tree for tree in page_trees if tree]
+    pages = [payload for payload in page_payloads if payload]
+    run_id = span_id("", "run", 0)
     lines = [
         json.dumps(
             {"event": "meta", "format": TRACE_FORMAT, "attrs": attrs or {},
              "spans_clock": "seconds relative to the enclosing page span"},
             sort_keys=False,
-        )
+        ),
+        _record(run_id, None, "run", 0.0,
+                sum(p["t_end"] - p["t_start"] for p in pages),
+                {"pages": len(pages)}, None),
     ]
-    root_id = span_id("", 0, "run")
-    lines.append(
-        json.dumps(
-            {"event": "span", "id": root_id, "parent": None, "name": "run",
-             "start": 0.0, "dur": round(sum(
-                 t["t_end"] - t["t_start"] for t in trees), 6),
-             "attrs": {"pages": len(trees)}},
-            sort_keys=False,
-        )
-    )
-    for index, tree in enumerate(trees):
-        _emit(lines, tree, root_id, index, tree["t_start"])
+    for payload in pages:
+        lines.extend(_page_lines(payload, run_id))
     return "\n".join(lines) + "\n"
 
 
-def write_run(path: str | Path, page_trees: list[dict | None],
+def write_run(path: str | Path, page_payloads: list[dict | None],
               attrs: dict | None = None) -> None:
-    Path(path).write_text(render_run(page_trees, attrs), encoding="utf-8")
+    Path(path).write_text(render_run(page_payloads, attrs), encoding="utf-8")
 
 
 def tree_shape(jsonl_text: str) -> list[tuple]:

@@ -1,19 +1,36 @@
-"""Tests for the XSS extension (paper §7 future work)."""
+"""The ``xss`` sink policy on single-echo pages (paper §7 future work).
+
+These are the cases of the removed legacy ``--xss`` entry point, run
+through the policy pipeline (``PolicyConfig(enabled=("xss",))``, the
+same path ``--policy-config`` takes); the verdicts, categories and
+witnesses are the ones the legacy path reported.
+"""
 
 import textwrap
 
 import pytest
 
-from repro.analysis.xss import analyze_page_xss
+from repro.analysis.analyzer import run_pages
+from repro.analysis.policies import PolicyConfig
+
+XSS_ONLY = PolicyConfig(enabled=("xss",))
 
 
 @pytest.fixture
 def xss(tmp_path):
+    """Analyze ``page.php``; one report per echo carrying untrusted data
+    (echoes of purely trusted data have no findings and are dropped)."""
     def run(source, **other_files):
         (tmp_path / "page.php").write_text(textwrap.dedent(source))
         for name, content in other_files.items():
             (tmp_path / name).write_text(textwrap.dedent(content))
-        return analyze_page_xss(tmp_path, "page.php")
+        (result,) = run_pages(
+            tmp_path, [tmp_path / "page.php"], jobs=1, policies=XSS_ONLY
+        )
+        return [
+            report for report in result.reports
+            if report.sink == "echo" and report.findings
+        ]
 
     return run
 
@@ -24,6 +41,7 @@ class TestDetection:
         assert reports
         assert not reports[0].verified
         assert reports[0].violations[0].category == "direct"
+        assert reports[0].violations[0].policy == "xss"
 
     def test_htmlspecialchars_verifies(self, xss):
         # with ENT_QUOTES everything is encoded (the default-flags case,

@@ -2,9 +2,9 @@
 
 Three contracts on a real corpus application:
 
-* **byte-identity** — ``--profile=timeline`` must not perturb a single
-  byte of the ``--json`` document (beyond the opt-in ``perf`` block) or
-  of the SARIF log;
+* **byte-identity** — ``--profile=timeline`` with ``--trace`` must not
+  perturb a single byte of the ``--json`` document (beyond the opt-in
+  ``perf`` block) or of the SARIF log;
 * **merge determinism** — counters whose totals are a function of the
   analyzed work (not of which worker did it) agree across ``--jobs``
   settings and across reruns.  Per-worker memo *splits* (hit vs miss)
@@ -65,14 +65,17 @@ class TestByteIdentity:
         plain_sarif = tmp_path / "plain.sarif"
         profiled_sarif = tmp_path / "profiled.sarif"
         timeline_out = tmp_path / "timeline.json"
+        trace_out = tmp_path / "trace.jsonl"
         plain = run_cli(
             str(app_root), "--json", "--jobs", "2",
             "--sarif", str(plain_sarif),
         )
+        # both views of the span recorder on at once
         profiled = run_cli(
             str(app_root), "--json", "--jobs", "2",
             "--sarif", str(profiled_sarif),
             "--profile=timeline", "--timeline-out", str(timeline_out),
+            "--trace", str(trace_out),
         )
         assert plain.returncode == profiled.returncode
 
@@ -90,6 +93,8 @@ class TestByteIdentity:
         timeline = json.loads(timeline_out.read_text())
         assert timeline["format"] == "sqlciv-timeline/1"
         assert len(timeline["pages"]) == len(plain_doc["pages"])
+        meta = json.loads(trace_out.read_text().splitlines()[0])
+        assert meta["format"] == "sqlciv-trace/2"
 
 
 class TestMergeDeterminism:

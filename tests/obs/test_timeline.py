@@ -217,3 +217,20 @@ class TestStats:
         path.write_text("{}")
         assert stats_main([str(path)]) == 2
         assert "sqlciv stats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [
+        {"format": TIMELINE_FORMAT},
+        {"format": TIMELINE_FORMAT, "wall_seconds": 1.0, "lanes": [],
+         "driver_spans": [],
+         "pages": [{"page": "a.php", "lane": 0, "start": 0.0, "spans": []}]},
+    ], ids=["no-pages", "page-without-dur"])
+    def test_stats_main_rejects_truncated_timelines(
+        self, tmp_path, capsys, document
+    ):
+        """A document that claims the format but lacks keys the report
+        needs is a usage error (exit 2), not a traceback."""
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(document))
+        assert stats_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sqlciv stats: ") and "Traceback" not in err

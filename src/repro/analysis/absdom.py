@@ -108,12 +108,22 @@ class GrammarBuilder:
         return result
 
     def _scoped(self, value: StrVal, hint: str) -> tuple[Grammar, StrVal]:
-        """The operand's subgrammar, widening oversized operands first."""
-        scope = self.grammar.subgrammar(value.nt)
-        if scope.num_productions() > self.widen_threshold:
+        """The operand's subgrammar, widening oversized operands first.
+
+        The size test sums the reachable rule lists in place: they are
+        deduplicated, so the sum is the copy's ``num_productions()``, and
+        an oversized operand is widened without being copied first."""
+        if self.operand_size(value) > self.widen_threshold:
             value = self.widen(value, f"{hint}▽")
-            scope = self.grammar.subgrammar(value.nt)
-        return scope, value
+        return self.grammar.subgrammar(value.nt), value
+
+    def operand_size(self, value: StrVal) -> int:
+        """Rules reachable from ``value`` (its subgrammar's size)."""
+        productions = self.grammar.productions
+        return sum(
+            len(productions.get(nt, ()))
+            for nt in self.grammar.reachable(value.nt)
+        )
 
     # -- basic constructors ---------------------------------------------------
 

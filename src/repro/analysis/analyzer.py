@@ -372,8 +372,8 @@ def _warm_worker_caches(policies) -> None:
         # is given) draws on the quotes automata
         quotes.odd_unescaped_quotes()
         quotes.has_unescaped_quote()
-        quotes.markers_inside_string_literals()
-        quotes.numeric_literals()
+        quotes.markers_outside_string_literals()
+        quotes.non_numeric_literals()
         quotes.non_confinable_substrings()
         if policies is not None:
             for pid in policies.enabled:

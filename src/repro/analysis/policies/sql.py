@@ -30,6 +30,6 @@ class SqlPolicy(SinkPolicy):
 
         quotes.odd_unescaped_quotes()
         quotes.has_unescaped_quote()
-        quotes.markers_inside_string_literals()
-        quotes.numeric_literals()
+        quotes.markers_outside_string_literals()
+        quotes.non_numeric_literals()
         quotes.non_confinable_substrings()

@@ -343,7 +343,7 @@ def check_nonterminal(
     # -- C2: string-literal position ----------------------------------------
     context = _contexts_grammar(scope, root, labeled, others or [])
     only_literal = intersection_is_empty(
-        context, root, quotes.markers_inside_string_literals().complement()
+        context, root, quotes.markers_outside_string_literals()
     )
     if only_literal:
         breaker = quotes.has_unescaped_quote()
@@ -361,8 +361,7 @@ def check_nonterminal(
         )
 
     # -- C3: numeric literals only ------------------------------------------
-    numeric = quotes.numeric_literals()
-    if intersection_is_empty(scope, labeled, numeric.complement()):
+    if intersection_is_empty(scope, labeled, quotes.non_numeric_literals()):
         if _nonempty(scope, labeled):
             return finding(
                 "numeric", safe=True, detail="derives only numeric literals"

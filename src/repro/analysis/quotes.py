@@ -115,11 +115,25 @@ def markers_inside_string_literals() -> DFA:
 
 
 @lru_cache(maxsize=1)
+def markers_outside_string_literals() -> DFA:
+    """The complement of :func:`markers_inside_string_literals` (C2's
+    violation language), built once so its pair tables can be shared."""
+    return markers_inside_string_literals().complement()
+
+
+@lru_cache(maxsize=1)
 def numeric_literals() -> DFA:
     """SQL numeric literals (check C3's safe language)."""
     from repro.lang.regex import full_match_language, parse_regex
 
     return full_match_language(parse_regex(r"-?[0-9]+(\.[0-9]+)?")).determinize()
+
+
+@lru_cache(maxsize=1)
+def non_numeric_literals() -> DFA:
+    """The complement of :func:`numeric_literals` (C3's violation
+    language), built once so its pair tables can be shared."""
+    return numeric_literals().complement()
 
 
 @lru_cache(maxsize=1)

@@ -85,6 +85,21 @@ class NFA:
         return nfa
 
     @staticmethod
+    def from_strings(texts: Iterable[str]) -> "NFA":
+        """The finite language ``texts``: one chain per string from a
+        shared start state (no ε-moves, no copying per string)."""
+        nfa = NFA()
+        nfa.start = nfa.new_state()
+        for text in texts:
+            current = nfa.start
+            for char in text:
+                nxt = nfa.new_state()
+                nfa.add_edge(current, CharSet.of(char), nxt)
+                current = nxt
+            nfa.accepts.add(current)
+        return nfa
+
+    @staticmethod
     def any_string() -> "NFA":
         """Sigma* — all strings."""
         return NFA.from_charset(CharSet.any_char()).star()

@@ -34,16 +34,15 @@ from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol, is_terminal
 class _PairTable:
     """State-pair sets per grammar symbol, computed to fixpoint."""
 
-    def __init__(self, grammar: Grammar, root: Nonterminal, dfa: DFA) -> None:
-        self.grammar = grammar.normalized(root)
-        self.root = root
+    def __init__(self, grammar: Grammar, dfa: DFA) -> None:
+        self.grammar = grammar.normalized()
         self.dfa = dfa
         self.states = sorted(dfa.live_states())
         self.pairs: dict[Nonterminal, set[tuple[int, int]]] = defaultdict(set)
         # Instance-local memo, freed with the table (one table per
-        # intersection query): at most (distinct literal texts) × states
-        # entries, so it needs no eviction policy — its high-water mark
-        # is surfaced via the perf gauge recorded in _solve().
+        # (scope, automaton) pair): at most (distinct literal texts) ×
+        # states entries, so it needs no eviction policy — its high-water
+        # mark is surfaced via the perf gauge recorded in _solve().
         self._lit_cache: dict[tuple[str, int], int | None] = {}
         self._solve()
 
@@ -79,6 +78,14 @@ class _PairTable:
         if is_terminal(symbol):
             return set(self.term_pairs(symbol))
         return self.pairs[symbol]
+
+    def accepts_from(self, root: Nonterminal) -> bool:
+        """Some string of ``root`` drives the DFA from start to accept."""
+        pairs = self.pairs.get(root)
+        if not pairs:
+            return False
+        start = self.dfa.start
+        return any((start, qf) in pairs for qf in self.dfa.accepts)
 
     # -- fixpoint -------------------------------------------------------------
 
@@ -167,22 +174,31 @@ class _PairTable:
         PERF.gauge("intersect.lit_cache.max_size", len(self._lit_cache))
 
 
-def _pair_table(grammar: Grammar, root: Nonterminal, dfa: DFA) -> _PairTable:
-    """Solved :class:`_PairTable`, memoized on the scope grammar.
-
-    Every non-empty policy check runs the same query twice — once for
-    the emptiness verdict and once to materialize the witness grammar —
-    and a cascade probes one scope against several danger DFAs.  Tables
-    are read-only after ``_solve``, so sharing them is safe.  The memo
-    value keeps a strong reference to the DFA: while the entry lives, no
-    other automaton can recycle its ``id``.
-    """
-    key = ("pairtable", root, id(dfa))
-    cached = grammar._memo_get(key)
+def _cached_pair_table(grammar: Grammar, dfa: DFA) -> _PairTable | None:
+    cached = grammar._memo_get(("pairtable", id(dfa)))
     if cached is not None and cached[0] is dfa:
         return cached[1]
-    table = _PairTable(grammar, root, dfa)
-    grammar._memo_set(key, (dfa, table))
+    return None
+
+
+def _pair_table(grammar: Grammar, dfa: DFA) -> _PairTable:
+    """Solved :class:`_PairTable`, memoized on the scope grammar.
+
+    The fixpoint solves every nonterminal of the normalized scope
+    whatever root is asked about, so one table per (scope, automaton)
+    answers every root: the token-class questions of the SQL bridge ask
+    about each nonterminal in turn, every non-empty policy check runs
+    the same query twice (emptiness verdict, then witness), and a
+    cascade probes one scope against several danger DFAs.  Tables are
+    read-only after ``_solve``, so sharing them is safe.  The memo value
+    keeps a strong reference to the DFA: while the entry lives, no other
+    automaton can recycle its ``id``.
+    """
+    table = _cached_pair_table(grammar, dfa)
+    if table is None:
+        table = _PairTable(grammar, dfa)
+        PERF.incr("intersect.tables")
+        grammar._memo_set(("pairtable", id(dfa)), (dfa, table))
     return table
 
 
@@ -220,22 +236,23 @@ def _reach_trim(result: Grammar, start: Nonterminal) -> Grammar:
 def intersection_is_empty(grammar: Grammar, root: Nonterminal, dfa: DFA) -> bool:
     """True iff L(grammar, root) ∩ L(dfa) = ∅ (no triple grammar built).
 
-    Consults the charset/length abstraction first
-    (:func:`repro.lang.abstraction.prefilter_decides_empty`): the
-    abstraction over-approximates ``L(grammar, root)``, so a "provably
-    empty" answer from it is always the exact answer and the pair
-    fixpoint can be skipped.  Anything else falls through.
+    A table already solved for this (scope, automaton) pair answers
+    exactly and at once.  Otherwise the charset/length abstraction
+    (:func:`repro.lang.abstraction.prefilter_decides_empty`) goes first:
+    it over-approximates ``L(grammar, root)``, so a "provably empty"
+    answer from it is always the exact answer and the pair fixpoint can
+    be skipped.  Anything else falls through to a new table.
     """
     from .abstraction import prefilter_decides_empty
 
-    if prefilter_decides_empty(grammar, root, dfa):
-        PERF.incr("prefilter.hits")
-        return True
-    PERF.incr("prefilter.misses")
-    table = _pair_table(grammar, root, dfa)
-    return not any(
-        (dfa.start, qf) in table.pairs[root] for qf in dfa.accepts
-    )
+    table = _cached_pair_table(grammar, dfa)
+    if table is None:
+        if prefilter_decides_empty(grammar, root, dfa):
+            PERF.incr("prefilter.hits")
+            return True
+        PERF.incr("prefilter.misses")
+        table = _pair_table(grammar, dfa)
+    return not table.accepts_from(root)
 
 
 def intersect(
@@ -246,7 +263,7 @@ def intersect(
     Returns ``(result, start)``; the result is trimmed.  Labels on
     ``X_{ij}`` mirror the labels on ``X`` (Theorem 3.1).
     """
-    table = _pair_table(grammar, root, dfa)
+    table = _pair_table(grammar, dfa)
     normalized = table.grammar
     result = Grammar()
     triple: dict[tuple[Nonterminal, int, int], Nonterminal] = {}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.lang.charset import CharSet, DIGITS, WORD
 from repro.lang.earley import TokenGrammar
-from repro.lang.fsa import DFA
+from repro.lang.fsa import DFA, NFA
 from repro.lang.grammar import Grammar, Lit, Nonterminal, Symbol
 from repro.lang.intersect import intersection_is_empty
 from repro.lang.regex import full_match_language, parse_regex
@@ -61,22 +61,51 @@ def _ensure_dfas() -> None:
         _SIGNED_NUMBER_COMPLEMENT = _complement_dfa(r"-?[0-9]+(\.[0-9]*)?")
         _STRING_COMPLEMENT = _complement_dfa(r"'([^'\\]|\\.|'')*'")
         _IDENT_COMPLEMENT = _complement_dfa(r"[A-Za-z_][A-Za-z0-9_]*")
-        from repro.lang.fsa import NFA
-
-        keywords = NFA.nothing()
-        for word in KEYWORDS:
-            for variant in (word, word.lower(), word.capitalize()):
-                keywords = keywords.union(NFA.from_string(variant))
-        _KEYWORDS_DFA = keywords.determinize()
-
-
-def _language_subset(grammar: Grammar, root: Nonterminal, complement: DFA) -> bool:
-    """L(root) ⊆ token-class ⇔ L(root) ∩ complement = ∅."""
-    return intersection_is_empty(grammar, root, complement)
+        spellings = (
+            variant
+            for word in KEYWORDS
+            for variant in (word, word.lower(), word.capitalize())
+        )
+        _KEYWORDS_DFA = NFA.from_strings(spellings).determinize()
 
 
-def _language_nonempty(grammar: Grammar, root: Nonterminal) -> bool:
-    return root in grammar.trim(root).productive()
+def _atomic_productions(
+    grammar: Grammar, nt: Nonterminal
+) -> list[tuple[str, ...]] | None:
+    """Token productions covering L(nt) when its whole language fits one
+    token class, else None.
+
+    Memoized per scope: the productive set and every answer are stamped
+    on the grammar, so every ``grammar_to_tokens`` call on one scope
+    reads the same answers, and the pair tables behind them are solved
+    once per (scope, class automaton)."""
+    memo = grammar._memo_get(("sql_token_classes",))
+    if memo is None:
+        memo = (grammar.productive(), {})
+        grammar._memo_set(("sql_token_classes",), memo)
+    productive, classes = memo
+    if nt not in classes:
+        classes[nt] = _classify(grammar, nt, productive)
+    return classes[nt]
+
+
+def _classify(
+    grammar: Grammar, nt: Nonterminal, productive: set[Nonterminal]
+) -> list[tuple[str, ...]] | None:
+    """L(nt) ⊆ class ⇔ L(nt) ∩ complement = ∅, for each class in turn;
+    the first matching class wins, so the order is part of the output."""
+    if nt not in productive:
+        return None
+    if intersection_is_empty(grammar, nt, _NUMBER_COMPLEMENT):
+        return [("NUMBER",)]
+    if intersection_is_empty(grammar, nt, _SIGNED_NUMBER_COMPLEMENT):
+        return [("NUMBER",), ("-", "NUMBER")]
+    if intersection_is_empty(grammar, nt, _STRING_COMPLEMENT):
+        return [("STRING",)]
+    if intersection_is_empty(grammar, nt, _IDENT_COMPLEMENT):
+        if intersection_is_empty(grammar, nt, _KEYWORDS_DFA):
+            return [("IDENT",)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +121,10 @@ class _Edges:
 
 
 def _boundary_info(grammar: Grammar) -> dict[Nonterminal, _Edges]:
+    """FIRST/LAST/nullable per nonterminal, memoized on the grammar."""
+    cached = grammar._memo_get(("sql_edges",))
+    if cached is not None:
+        return cached
     info = {
         nt: _Edges(CharSet.empty(), CharSet.empty(), False)
         for nt in grammar.productions
@@ -149,6 +182,7 @@ def _boundary_info(grammar: Grammar) -> dict[Nonterminal, _Edges]:
             ):
                 info[nt] = _Edges(first, last, nullable)
                 changed = True
+    grammar._memo_set(("sql_edges",), info)
     return info
 
 
@@ -204,25 +238,12 @@ def grammar_to_tokens(
     special = special or {}
     info = _boundary_info(grammar)
     result = TokenGrammar(_nt_name(root))
-    atomic: dict[Nonterminal, str | None] = {}
 
     def atomic_token(nt: Nonterminal) -> list[tuple[str, ...]] | None:
         """Token-sequence productions covering L(nt), or None."""
-        if nt in atomic:
-            return atomic[nt]
-        productions: list[tuple[str, ...]] | None = None
-        if nt not in special and _language_nonempty(grammar, nt):
-            if _language_subset(grammar, nt, _NUMBER_COMPLEMENT):
-                productions = [("NUMBER",)]
-            elif _language_subset(grammar, nt, _SIGNED_NUMBER_COMPLEMENT):
-                productions = [("NUMBER",), ("-", "NUMBER")]
-            elif _language_subset(grammar, nt, _STRING_COMPLEMENT):
-                productions = [("STRING",)]
-            elif _language_subset(grammar, nt, _IDENT_COMPLEMENT):
-                if intersection_is_empty(grammar, nt, _KEYWORDS_DFA):
-                    productions = [("IDENT",)]
-        atomic[nt] = productions
-        return productions
+        if nt in special:
+            return None
+        return _atomic_productions(grammar, nt)
 
     def convert_symbol(symbol: Symbol) -> list[str]:
         if isinstance(symbol, Lit):

@@ -1,7 +1,11 @@
 """Tests for the GrammarBuilder abstract domain."""
 
+import pytest
+
 from repro.analysis.absdom import GrammarBuilder
+from repro.analysis.analyzer import entry_pages, run_pages
 from repro.analysis.values import ArrVal
+from repro.corpus import build_app
 from repro.lang.charset import CharSet, DIGITS
 from repro.lang.fst import FST
 from repro.lang.grammar import DIRECT, INDIRECT
@@ -168,3 +172,34 @@ class TestCoercion:
         b = GrammarBuilder()
         v = b.to_str(None)
         assert b.grammar.generates(v.nt, "")
+
+
+class TestOperandSizing:
+    """``_scoped`` sizes an operand by summing its reachable rule lists
+    instead of copying its subgrammar; on every ``image``/``refine``
+    operand of two corpus apps that sum must be the copy's size, so the
+    widening decision is the one the copy would have made."""
+
+    @pytest.mark.parametrize("app", ["eve_activity_tracker", "tiger_php_news"])
+    def test_reachable_rule_count_is_subgrammar_size(
+        self, app, tmp_path, monkeypatch
+    ):
+        seen = []
+        scoped = GrammarBuilder._scoped
+
+        def checked(builder, value, hint):
+            copied = builder.grammar.subgrammar(value.nt).num_productions()
+            counted = builder.operand_size(value)
+            scope, used = scoped(builder, value, hint)
+            widened = used.nt is not value.nt
+            seen.append((counted, copied, builder.widen_threshold, widened))
+            return scope, used
+
+        monkeypatch.setattr(GrammarBuilder, "_scoped", checked)
+        build_app(tmp_path, app)
+        root = tmp_path / app
+        run_pages(root, entry_pages(root), jobs=1)
+        assert seen
+        for counted, copied, threshold, widened in seen:
+            assert counted == copied
+            assert widened == (copied > threshold)

@@ -12,13 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lang import reference as ref
 from repro.lang.abstraction import prefilter_decides_empty
-from repro.lang.charset import CharSet, partition_charsets
+from repro.lang.charset import DIGITS, CharSet, partition_charsets
 from repro.lang.earley import TokenGrammar, parse_sentential_form
 from repro.lang.fst import FST
 from repro.lang.grammar import Grammar, Lit
 from repro.lang.image import fst_image
-from repro.lang.intersect import _PairTable, intersect, intersection_is_empty
+from repro.lang.intersect import (
+    _PairTable,
+    _pair_table,
+    intersect,
+    intersection_is_empty,
+)
 from repro.lang.regex import full_match_language, parse_regex, search_language
+from repro.obs.metrics import PERF
+from repro.sql import bridge
 
 
 # -- strategies ---------------------------------------------------------------
@@ -31,17 +38,37 @@ raw_intervals = st.lists(
 )
 
 
+AB_LEAF = st.one_of(
+    st.sampled_from([Lit("a"), Lit("b"), Lit("ab")]),
+    st.just(CharSet.of("ab")),
+)
+
+#: leaves that make the SQL token classes (and their near misses) appear:
+#: numbers, signs, quotes, identifiers, a keyword in two spellings
+SQL_LEAF = st.sampled_from((
+    Lit("7"),
+    Lit("-"),
+    Lit("."),
+    Lit("'"),
+    Lit("'x'"),
+    Lit("x"),
+    Lit("or"),
+    Lit("OR"),
+    Lit(" "),
+    DIGITS,
+    CharSet.of("ab_"),
+    CharSet.of("'\\"),
+))
+
+
 @st.composite
-def random_grammar(draw):
-    """A small random grammar over {a, b}; start is always productive."""
+def random_grammar(draw, leaf=AB_LEAF):
+    """A small random grammar over the ``leaf`` symbols (by default
+    {a, b}); start is always productive."""
     nt_count = draw(st.integers(2, 4))
     g = Grammar()
     nts = [g.fresh(f"N{i}") for i in range(nt_count)]
     g.start = nts[0]
-    leaf = st.one_of(
-        st.sampled_from([Lit("a"), Lit("b"), Lit("ab")]),
-        st.just(CharSet.of("ab")),
-    )
     for nt in nts:
         g.add(nt, tuple(draw(st.lists(leaf, max_size=2))))
         for _ in range(draw(st.integers(0, 2))):
@@ -229,7 +256,7 @@ class TestPrefilterSoundness:
         exact pair-fixpoint emptiness — the pre-filter may only ever
         skip work, never change a verdict."""
         decided = prefilter_decides_empty(g, g.start, dfa)
-        table = _PairTable(g, g.start, dfa)
+        table = _PairTable(g, dfa)
         exact_empty = not any(
             (dfa.start, qf) in table.pairs[g.start] for qf in dfa.accepts
         )
@@ -237,3 +264,77 @@ class TestPrefilterSoundness:
             assert exact_empty
         # and the public entry point agrees with the exact answer
         assert intersection_is_empty(g, g.start, dfa) == exact_empty
+
+
+# -- one pair table per (scope, automaton) vs. one per root -------------------
+
+
+def _tables_built() -> int:
+    return PERF.counters.get("intersect.tables", 0)
+
+
+class TestSharedPairTables:
+    @given(random_grammar(), st.sampled_from(DFAS))
+    @settings(max_examples=100, deadline=None)
+    def test_one_table_answers_every_root(self, g, dfa):
+        """The fixpoint solves the whole normalized scope, so the table
+        built for one root answers every other root exactly as a fresh
+        table over that root's own subgrammar does."""
+        before = _tables_built()
+        shared = _pair_table(g, dfa)
+        for nt in g.productions:
+            single = intersection_is_empty(g.subgrammar(nt), nt, dfa)
+            assert (not shared.accepts_from(nt)) == single
+            assert intersection_is_empty(g, nt, dfa) == single
+        assert _pair_table(g, dfa) is shared
+        # one table for the scope plus at most one per fresh subgrammar
+        assert _tables_built() - before <= 1 + len(g.productions)
+
+    @given(random_grammar(), st.sampled_from(DFAS))
+    @settings(max_examples=60, deadline=None)
+    def test_materialization_ignores_which_root_built_the_table(self, g, dfa):
+        """Witness grammars read from a table first built for another
+        root equal those of a fresh table: same triples, same order."""
+        for nt in g.productions:
+            _pair_table(g, dfa)
+            shared, s1 = intersect(g, nt, dfa)
+            fresh, s2 = intersect(g.structural_copy(), nt, dfa)
+            assert shared.canonical_form(s1) == fresh.canonical_form(s2)
+            assert [x.name for x in shared.productions] == [
+                x.name for x in fresh.productions
+            ]
+
+
+def _separate_token_class(g: Grammar, nt):
+    """The token class of ``nt`` from five separate queries, each on a
+    fresh copy of ``nt``'s subgrammar (so no table is shared), in the
+    bridge's class order."""
+
+    def subset_of_complement(dfa) -> bool:
+        return intersection_is_empty(g.subgrammar(nt), nt, dfa)
+
+    if nt not in g.trim(nt).productive():
+        return None
+    if subset_of_complement(bridge._NUMBER_COMPLEMENT):
+        return [("NUMBER",)]
+    if subset_of_complement(bridge._SIGNED_NUMBER_COMPLEMENT):
+        return [("NUMBER",), ("-", "NUMBER")]
+    if subset_of_complement(bridge._STRING_COMPLEMENT):
+        return [("STRING",)]
+    if subset_of_complement(bridge._IDENT_COMPLEMENT):
+        if subset_of_complement(bridge._KEYWORDS_DFA):
+            return [("IDENT",)]
+    return None
+
+
+class TestTokenClassesPerScope:
+    @given(random_grammar(leaf=SQL_LEAF))
+    @settings(max_examples=150, deadline=None)
+    def test_per_scope_classes_match_separate_queries(self, g):
+        bridge._ensure_dfas()
+        before = _tables_built()
+        per_scope = {nt: bridge._atomic_productions(g, nt) for nt in g.productions}
+        # at most one table per class automaton for the whole scope
+        assert _tables_built() - before <= 5
+        expected = {nt: _separate_token_class(g, nt) for nt in g.productions}
+        assert per_scope == expected

@@ -586,15 +586,22 @@ class Grammar:
         cached = self._memo_get(("closure", root))
         if cached is not None:
             return cached
-        parts: list[CharSet] = []
+        # distinct symbols first, one normalization at the end: the
+        # union is the same hash-consed set, without one interval list
+        # per literal occurrence
+        texts: set[str] = set()
+        charsets: set[CharSet] = set()
         for nt in self.reachable(root):
             for rhs in self.productions.get(nt, ()):
                 for symbol in rhs:
                     if isinstance(symbol, Lit):
-                        parts.append(CharSet.of(symbol.text))
+                        texts.add(symbol.text)
                     elif isinstance(symbol, CharSet):
-                        parts.append(symbol)
-        chars = CharSet.union_of(parts)
+                        charsets.add(symbol)
+        intervals = [(cp, cp) for cp in map(ord, set("".join(texts)))]
+        for charset in charsets:
+            intervals.extend(charset.intervals)
+        chars = CharSet(intervals)
         self._memo_set(("closure", root), chars)
         return chars
 

@@ -9,7 +9,11 @@ analyze every file in the result.
 
 The intersection is evaluated by membership tests of each candidate path
 string against the include-argument grammar, which is equivalent to the
-regular-language intersection for a finite path language.
+regular-language intersection for a finite path language.  Membership is
+decided by the char-level Earley kernel (the one the differential oracle
+uses), on the argument scope lowered once per include;
+:meth:`Grammar.generates` stays the independent reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
+from repro.lang.earley import char_membership, char_token_grammar
 from repro.lang.grammar import Grammar, Nonterminal
 from repro.obs.metrics import PERF
 
@@ -115,11 +120,12 @@ class IncludeResolver:
         """
         current = Path(current_dir)
         names = self.candidate_names(current)
-        # Fast path: the argument is a finite set of short literals.
-        literals = grammar.sample_strings(path_nt, limit=8, max_len=300)
-        exact = [names[text] for text in literals if text in names]
-        if exact and len(literals) < 8:
-            # finite small language fully sampled: that IS the answer
+        # Fast path: the argument language is a small finite set of
+        # strings, enumerated in full (None when it is not, or may not
+        # be, so a partial sample never stands in for the answer).
+        literals = grammar.enumerate_finite(path_nt, max_strings=7, max_len=300)
+        exact = [names[text] for text in literals or () if text in names]
+        if exact:
             resolved = sorted(set(exact))
         else:
             scope = grammar.subgrammar(path_nt)
@@ -140,11 +146,16 @@ class IncludeResolver:
                 ]
             PERF.incr("include.prefilter.pruned", len(names) - len(candidates))
             PERF.incr("include.prefilter.kept", len(candidates))
-            matches = {
-                file
-                for text, file in candidates
-                if scope.generates(path_nt, text)
-            }
+            matches: set[Path] = set()
+            if candidates:
+                PERF.incr("include.membership.tests", len(candidates))
+                with PERF.timer("include.membership"):
+                    prepared = char_token_grammar(scope, path_nt)
+                    matches = {
+                        file
+                        for text, file in candidates
+                        if char_membership(prepared, text)
+                    }
             resolved = sorted(matches)[:limit]
         if audit is not None:
             file, line = site if site is not None else ("", 0)

@@ -1,7 +1,8 @@
 """Randomized equivalence: optimized kernels vs. their reference models.
 
-The hot kernels (bitset charsets, the compiled Earley recognizer, the
-lazy FST image, the one-pass trims, the abstraction pre-filter) all
+The hot kernels (bitset charsets, the compiled Earley recognizer and its
+char-level membership test, the lazy FST image, the one-pass trims, the
+abstraction pre-filter) all
 promise *exact* semantics — every optimization is a constant-factor
 rewrite, never an approximation.  :mod:`repro.lang.reference` keeps the
 original, simple implementations; these tests drive both sides with
@@ -13,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.lang import reference as ref
 from repro.lang.abstraction import prefilter_decides_empty
 from repro.lang.charset import DIGITS, CharSet, partition_charsets
-from repro.lang.earley import TokenGrammar, parse_sentential_form
+from repro.lang.earley import (
+    TokenGrammar,
+    char_membership,
+    char_token_grammar,
+    parse_sentential_form,
+)
 from repro.lang.fst import FST
 from repro.lang.grammar import Grammar, Lit
 from repro.lang.image import fst_image
@@ -338,3 +344,82 @@ class TestTokenClassesPerScope:
         assert _tables_built() - before <= 5
         expected = {nt: _separate_token_class(g, nt) for nt in g.productions}
         assert per_scope == expected
+
+
+# -- char-level Earley membership vs. the span-table reference ----------------
+
+
+@st.composite
+def membership_case(draw):
+    """A random grammar over either leaf set, with the degenerate shapes
+    the lowering must keep: an ε-only nonterminal, a unit cycle back to
+    the start, and a production-less reference (the empty language)."""
+    g = draw(random_grammar(leaf=draw(st.sampled_from((AB_LEAF, SQL_LEAF)))))
+    eps, unit_a, unit_b, label = (
+        g.fresh(name) for name in ("Eps", "U", "V", "L")
+    )
+    g.add(eps, ())
+    g.add(unit_a, (unit_b,))
+    g.add(unit_b, (unit_a,))
+    g.add(unit_b, (g.start,))
+    root = g.fresh("R")
+    for rhs in draw(
+        st.lists(
+            st.sampled_from((
+                (g.start,),
+                (eps, g.start, eps),
+                (unit_a,),
+                (label,),
+                (g.start, label),
+                (eps,),
+            )),
+            min_size=1,
+            max_size=3,
+        )
+    ):
+        g.add(root, rhs)
+    return g, root
+
+
+def _membership_queries(g, root) -> list[str]:
+    """Members from the sample walk, plus one-character mutations and
+    truncations of each (near misses on both sides of the boundary)."""
+    queries = set()
+    for text in g.sample_strings(root, limit=6, max_len=12):
+        queries.add(text)
+        for i in range(len(text) + 1):
+            queries.add(text[:i])
+            for char in "ab7'x":
+                queries.add(text[:i] + char + text[i:])
+                if i < len(text):
+                    queries.add(text[:i] + char + text[i + 1:])
+    return sorted(queries)
+
+
+class TestCharMembershipReference:
+    @given(membership_case())
+    @settings(max_examples=80, deadline=None)
+    def test_char_membership_matches_generates(self, case):
+        g, root = case
+        for nt in (root, g.start):
+            prepared = char_token_grammar(g, nt)
+            for text in _membership_queries(g, nt):
+                assert char_membership(prepared, text) == g.generates(nt, text), (
+                    nt, text
+                )
+
+    def test_degenerate_roots(self):
+        g = Grammar()
+        eps, unit_a, unit_b, label = (
+            g.fresh(name) for name in ("Eps", "U", "V", "L")
+        )
+        g.add(eps, ())
+        g.add(unit_a, (unit_b,))
+        g.add(unit_b, (unit_a,))
+        g.add(unit_b, (Lit("a"),))
+        for nt, members in ((eps, {""}), (unit_a, {"a"}), (label, set())):
+            prepared = char_token_grammar(g, nt)
+            for text in ("", "a", "aa", "b"):
+                expected = text in members
+                assert g.generates(nt, text) == expected
+                assert char_membership(prepared, text) == expected

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.absdom import GrammarBuilder
+from repro.analysis.analyzer import run_pages
+from repro.obs.metrics import PERF
 from repro.php.includes import IncludeResolver
 
 
@@ -184,3 +186,99 @@ class TestResolution:
         value = builder.literal("lib.php")
         files = resolver.resolve(builder.grammar, value.nt, tmp_path / "sub")
         assert [f.name for f in files] == ["lib.php"]
+
+
+def generates_filter(resolver, grammar, nt, current, limit=64):
+    """The reference answer: every name in the full table the argument
+    grammar generates, by the span-table membership test."""
+    names = resolver.candidate_names(current)
+    return sorted(
+        {file for text, file in names.items() if grammar.generates(nt, text)}
+    )[:limit]
+
+
+class TestMembershipKernel:
+    """resolve() decides membership with the Earley kernel; its answer
+    must equal a ``Grammar.generates`` filter over the whole table."""
+
+    def arguments(self, builder):
+        return {
+            "literal": builder.literal("lib.php").nt,
+            "lan": builder.concat_all(
+                [builder.literal("lang/lan_"), builder.any_string(),
+                 builder.literal(".php")]
+            ).nt,
+            "sigma_segment": builder.concat_all(
+                [builder.literal("sub/"), builder.any_string()]
+            ).nt,
+            "sigma_star": builder.any_string().nt,
+            "empty": builder.grammar.fresh("empty"),
+        }
+
+    def test_resolve_equals_generates_filter(self, tmp_path):
+        resolver = make_project(tmp_path, LAYOUT + ["lang/lan_de.php"])
+        builder = GrammarBuilder()
+        for label, nt in self.arguments(builder).items():
+            for current in (tmp_path, tmp_path / "sub", tmp_path / "lang"):
+                got = resolver.resolve(builder.grammar, nt, current)
+                expected = generates_filter(
+                    resolver, builder.grammar, nt, current
+                )
+                assert got == expected, (label, current)
+
+    def test_one_test_per_kept_candidate(self, tmp_path):
+        resolver = make_project(tmp_path, LAYOUT)
+        builder = GrammarBuilder()
+        value = builder.concat_all(
+            [builder.literal("lang/lan_"), builder.any_string(),
+             builder.literal(".php")]
+        )
+        before = PERF.snapshot()
+        files = resolver.resolve(builder.grammar, value.nt, tmp_path)
+        delta = PERF.diff(before)
+        assert [f.name for f in files] == ["lan_en.php"]
+        counters = delta["counters"]
+        assert counters["include.membership.tests"] == counters[
+            "include.prefilter.kept"
+        ] > 0
+        assert delta["timers"]["include.membership"] > 0
+
+
+class TestIncompleteSample:
+    """The fast path may only trust a fully enumerated language: the
+    breadth-first sample drops sentential forms longer than 40 symbols,
+    so fewer samples than asked for does not mean the whole language."""
+
+    LONG = "b" * 41 + ".php"
+
+    def write_app(self, root):
+        pieces = " . ".join(['"b"'] * 41) + ' . ".php"'
+        (root / "index.php").write_text(
+            "<?php\n"
+            "if ($_GET['x']) {\n"
+            '    $p = "a.php";\n'
+            "} else {\n"
+            f"    $p = {pieces};\n"
+            "}\n"
+            "include $p;\n"
+        )
+        guard = "<?php\nif (!defined('APP')) { exit; }\n"
+        (root / "a.php").write_text(guard + "$greeting = 'hello';\n")
+        (root / self.LONG).write_text(
+            guard
+            + "mysql_query(\"SELECT * FROM t WHERE id='\" . $_GET['id'] . \"'\");\n"
+        )
+
+    def test_both_alternatives_resolve_and_injection_is_reported(
+        self, tmp_path
+    ):
+        self.write_app(tmp_path)
+        [result] = run_pages(tmp_path, [tmp_path / "index.php"], audit=True)
+        assert result.deps == sorted(["index.php", "a.php", self.LONG])
+        assert [
+            (report.sink, report.verified) for report in result.reports
+        ] == [("mysql_query", False)]
+        messages = [d.message for d in result.audit.diagnostics]
+        assert any(
+            "resolved to 2 candidate file(s)" in message for message in messages
+        ), messages

@@ -401,6 +401,7 @@ def run_pages(
     profile: bool = False,
     farm=None,
     epoch: int = 0,
+    resolver: IncludeResolver | None = None,
 ) -> list[PageResult]:
     """Analyze ``pages`` and return their results **in input order**.
 
@@ -419,6 +420,10 @@ def run_pages(
     (the analysis server) keep parsed ASTs warm across calls; it is only
     consulted on the serial path — parallel workers hold their own — and
     the caller is responsible for evicting entries for changed files.
+    ``resolver`` likewise lets it keep one :class:`IncludeResolver` (the
+    file list and its per-directory name tables) across calls while the
+    layout is unchanged; also serial-only, and the caller drops it on
+    any file addition or deletion.
 
     ``policies`` is an optional
     :class:`~repro.analysis.policies.PolicyConfig`; ``None`` runs the
@@ -451,7 +456,8 @@ def run_pages(
     if jobs <= 1 and farm is None:
         if parse_cache is None:
             parse_cache = {}
-        resolver = IncludeResolver(root)
+        if resolver is None:
+            resolver = IncludeResolver(root)
         return [
             _page_result(
                 root, page, audit, parse_cache, resolver, disk_cache,

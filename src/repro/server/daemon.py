@@ -11,7 +11,11 @@ requests over a Unix or TCP socket.  What staying resident buys:
 * each page's last :class:`~repro.analysis.analyzer.PageResult` is
   memoized, and an ``invalidate`` re-queues *only* the pages whose
   file-dependency closure the change intersects
-  (:mod:`repro.server.depgraph`) — everything else replays its verdict.
+  (:mod:`repro.server.depgraph`) — everything else replays its verdict;
+* each project's **layout** (:class:`ProjectLayout`: the include
+  resolver's file list and name tables, and the entry-page list) is
+  built once and rebuilt only after an ``invalidate`` reports a file
+  addition or deletion.
 
 Results are built by the same code path as the batch CLI
 (:func:`repro.analysis.reports.json_document`,
@@ -40,7 +44,9 @@ equivalent batch is running simply replays the then-fresh memo.
 
 Staleness contract: the daemon trusts ``invalidate`` notifications.
 Edits it was never told about are *not* picked up for memoized pages
-(they are picked up for re-queued pages, which re-read the tree); run
+(they are picked up for re-queued pages, which re-read the tree), and
+files added or deleted without one reach the entry pages and include
+resolution only at the next layout rebuild; run
 with ``--cache-dir`` if you also want the conservative whole-project
 hash as a second line of defense for cross-restart reuse.
 """
@@ -48,6 +54,7 @@ hash as a second line of defense for cross-restart reuse.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import logging
 import os
@@ -63,6 +70,7 @@ from repro.analysis.analyzer import PageResult, entry_pages, run_pages
 from repro.analysis.diskcache import RESOLVER_EXTENSIONS
 from repro.analysis.reports import UNSOUND_CAVEATS, json_document
 from repro.analysis.sarif import render_sarif
+from repro.php.includes import IncludeResolver
 
 from . import protocol
 from .depgraph import DependencyGraph
@@ -92,14 +100,41 @@ def _validate_project_name(name: str) -> None:
         )
 
 
+class ProjectLayout:
+    """A project's file layout as of its last addition or deletion: one
+    :class:`IncludeResolver` (sorted file list, per-directory name
+    tables) and the entry pages from one :func:`entry_pages` scan.
+
+    A content edit leaves both valid except for the edited file's own
+    entry-page status (an ``if (!defined(...))`` guard can come or go),
+    which :meth:`recheck_page` re-derives (DESIGN §5e)."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.resolver = IncludeResolver(root)
+        self.pages = entry_pages(root)
+
+    def recheck_page(self, rel: str) -> None:
+        """Add or drop the edited ``.php`` file ``rel`` from the entry
+        pages, keeping the scan's sorted order."""
+        path = self.root / rel
+        index = bisect.bisect_left(self.pages, path)
+        present = index < len(self.pages) and self.pages[index] == path
+        if entry_pages(self.root, [path]):
+            if not present:
+                self.pages.insert(index, path)
+        elif present:
+            del self.pages[index]
+
+
 class ProjectState:
     """Everything the daemon keeps resident for one project: the
     per-page result memo, the shared parse cache, the dependency graph,
-    and the invalidation **epoch** — a counter bumped on every
-    ``invalidate`` so farm workers rebuild their per-project
-    environments (resolver, parse cache, file census) instead of
-    serving stale ones.  Guarded by its own re-entrant lock, so
-    requests against different projects never contend."""
+    the resident layout, and the invalidation **epoch** — a counter
+    bumped on every ``invalidate`` so farm workers rebuild their
+    per-project environments (resolver, parse cache, file census)
+    instead of serving stale ones.  Guarded by its own re-entrant lock,
+    so requests against different projects never contend."""
 
     def __init__(
         self, name: str, root: str | Path, cache_dir: str | Path | None = None
@@ -119,6 +154,15 @@ class ProjectState:
         #: serial path, evicted per-file on invalidate
         self.parse_cache: dict = {}
         self.depgraph = DependencyGraph()
+        #: built by the first analyze, dropped on any addition or deletion
+        self.layout: ProjectLayout | None = None
+        self.layout_builds = 0
+        #: the resolver-visible files as notified: the first layout's
+        #: scan, then plus every addition and minus every deletion that
+        #: ``invalidate`` reports.  Never re-read from disk, so a file a
+        #: rebuilt layout found before its addition was notified still
+        #: counts as an addition when the notification comes (§5e)
+        self.listed: set[str] | None = None
         if self.cache_dir is not None:
             persisted = DependencyGraph.load(
                 self.cache_dir / DEPGRAPH_FILENAME, root=str(self.root)
@@ -152,6 +196,18 @@ class ProjectState:
         except ValueError:
             return None
 
+    def current_layout(self) -> ProjectLayout:
+        if self.layout is None:
+            self.layout = ProjectLayout(self.root)
+            self.layout_builds += 1
+            PERF.incr("server.layout.builds")
+            if self.listed is None:
+                self.listed = {
+                    self.rel(path)
+                    for path in self.layout.resolver.project_files()
+                }
+        return self.layout
+
     def persist_depgraph(self) -> None:
         if self.cache_dir is None:
             return
@@ -172,6 +228,7 @@ class ProjectState:
             "epoch": self.epoch,
             "memoized_pages": len({rel for rel, _audit in self.memo}),
             "depgraph_pages": len(self.depgraph.pages()),
+            "layout_builds": self.layout_builds,
             "loaded_seconds_ago": round(time.time() - self.loaded, 3),
         }
 
@@ -301,8 +358,9 @@ class AnalysisDaemon:
         audit = bool(params.get("audit", True))
         requested = params.get("pages")
         with project.lock, PERF.timer("server.analyze"):
+            layout = project.current_layout()
             if requested is None:
-                pages = entry_pages(project.root)
+                pages = layout.pages
             else:
                 pages = []
                 for raw in requested:
@@ -337,6 +395,7 @@ class AnalysisDaemon:
                         policies=self.policies,
                         farm=self._farm_for_batch(),
                         epoch=project.epoch,
+                        resolver=layout.resolver,
                     )
                 for result in fresh:
                     rel = project.rel(result.page)
@@ -423,6 +482,7 @@ class AnalysisDaemon:
         deleted: list[str] = []
         ignored: list[str] = []
         with project.lock:
+            listed = project.listed
             for raw in params["paths"]:
                 rel = project.normalize(raw)
                 if rel is None:
@@ -441,11 +501,15 @@ class AnalysisDaemon:
                     continue
                 if not (project.root / rel).exists():
                     deleted.append(rel)
-                elif project.depgraph.knows_file(rel):
+                elif (
+                    rel in listed if listed is not None
+                    else project.depgraph.knows_file(rel)
+                ):
                     changed.append(rel)
                 else:
-                    # exists but was never a recorded dependency: treat as
-                    # an addition (it may re-route include-name resolution)
+                    # exists but was never listed (or, before the first
+                    # analyze, never recorded): an addition, which may
+                    # re-route include-name resolution
                     added.append(rel)
             affected = project.depgraph.affected_by(
                 changed=changed, added=added, deleted=deleted
@@ -455,12 +519,21 @@ class AnalysisDaemon:
                 project.memo.pop((rel, False), None)
             for rel in deleted:
                 # a deleted entry page can't be re-analyzed; drop it
-                if rel in set(project.depgraph.pages()):
+                if project.depgraph.has_page(rel):
                     project.depgraph.forget(rel)
                     project.memo.pop((rel, True), None)
                     project.memo.pop((rel, False), None)
             for rel in changed + added + deleted:
                 project.parse_cache.pop(project.root / rel, None)
+            if listed is not None:
+                listed.difference_update(deleted)
+                listed.update(added)
+            if added or deleted:
+                project.layout = None
+            elif project.layout is not None:
+                for rel in changed:
+                    if rel.endswith(".php"):
+                        project.layout.recheck_page(rel)
             if changed or added or deleted:
                 # farm workers key their per-project environments by
                 # (root, epoch); bumping forces a rebuild, so only THIS
@@ -614,6 +687,7 @@ class AnalysisDaemon:
             "jobs": self.jobs,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "memoized_pages": len(memoized),
+            "layout_builds": default.layout_builds,
             "parse_cache_entries": len(default.parse_cache),
             "depgraph": {
                 "pages": len(default.depgraph.pages()),

@@ -99,6 +99,9 @@ class DependencyGraph:
     def files(self) -> list[str]:
         return sorted(self._rdeps)
 
+    def has_page(self, page: str) -> bool:
+        return page in self._pages
+
     def knows_file(self, rel: str) -> bool:
         return rel in self._rdeps
 

@@ -4,14 +4,14 @@ The hot kernels (bitset charsets, the compiled Earley recognizer and its
 char-level membership test, the lazy FST image, the one-pass trims, the
 abstraction pre-filter) all
 promise *exact* semantics — every optimization is a constant-factor
-rewrite, never an approximation.  :mod:`repro.lang.reference` keeps the
+rewrite, never an approximation.  `tests/lang/reference.py` keeps the
 original, simple implementations; these tests drive both sides with
 randomized inputs and require agreement.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.lang import reference as ref
+from . import reference as ref
 from repro.lang.abstraction import prefilter_decides_empty
 from repro.lang.charset import DIGITS, CharSet, partition_charsets
 from repro.lang.earley import (

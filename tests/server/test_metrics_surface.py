@@ -101,6 +101,29 @@ class TestStatusSurface:
         assert status["cache_hit_rates"]["server_page_memo"] == 0.5
 
 
+class TestLayoutBuilds:
+    def test_content_edits_keep_the_layout_and_an_addition_rebuilds_it(
+        self, tiny_app, start_daemon
+    ):
+        client = start_daemon(tiny_app).client()
+        client.analyze()
+        about = tiny_app / "about.php"
+        for _ in range(20):
+            about.write_text(about.read_text() + "\n")
+            assert client.invalidate(["about.php"])["changed"] == ["about.php"]
+            client.analyze()
+        assert client.status()["layout_builds"] == 1
+        text = client.metrics(format="prometheus")["text"]
+        assert "sqlciv_server_layout_builds_total 1" in text
+
+        (tiny_app / "new.php").write_text("<?php mysql_query('SELECT 3'); ?>")
+        assert client.invalidate(["new.php"])["added"] == ["new.php"]
+        assert client.analyze()["pages_total"] == 3
+        assert client.status()["layout_builds"] == 2
+        text = client.metrics(format="prometheus")["text"]
+        assert "sqlciv_server_layout_builds_total 2" in text
+
+
 class TestHttpEndpoint:
     def _serve(self, daemon):
         server = start_metrics_server(daemon, "127.0.0.1:0")

@@ -13,7 +13,12 @@ The contracts under test:
   errors rather than daemon crashes.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +44,17 @@ def make_app(base, name, *, safe=False):
 
 def touch(path):
     path.write_text(path.read_text() + "\n")
+
+
+def cold_cli_json(app):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis.cli", str(app), "--json"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode in (0, 1, 3), proc.stderr
+    return proc.stdout
 
 
 class TestProjectRegistry:
@@ -215,3 +231,104 @@ class TestConcurrentClients:
         for thread in threads:
             thread.join(timeout=60)
         assert not failures, failures
+
+    def test_invalidate_racing_analyze_across_tenants(
+        self, tmp_path, start_daemon
+    ):
+        """Writers add, delete and edit tenant A's files and notify the
+        daemon while readers analyze A and B.  Every request ends in a
+        response or a typed error, and once the writers stop each
+        tenant's next document matches a cold CLI run."""
+        alpha = make_app(tmp_path, "alpha")
+        beta = make_app(tmp_path, "beta", safe=True)
+        (alpha / "lang").mkdir()
+        (alpha / "lang" / "lan_en.inc").write_text("<?php $g = 'hi'; ?>")
+        (alpha / "dyn.php").write_text(
+            "<?php include('lang/lan_' . $_COOKIE['l'] . '.inc');\n"
+            "mysql_query(\"SELECT * FROM t WHERE g = '\" . $g . \"'\"); ?>"
+        )
+        (alpha / "helper.php").write_text(
+            "<?php\nif (!defined('APP')) { exit; }\nmysql_query('SELECT 2'); ?>"
+        )
+        harness = start_daemon(alpha)
+        setup = harness.client()
+        setup.load_project(beta)
+        setup.analyze()
+        setup.analyze(project="beta")
+
+        failures = []
+        stop = threading.Event()
+
+        def guarded(name, body):
+            def run():
+                try:
+                    with harness.client() as client:
+                        body(client)
+                except ServerError:
+                    pass  # a typed error is an accepted outcome
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    failures.append(f"{name}: {exc!r}")
+            return threading.Thread(target=run, name=name)
+
+        def add_and_delete(client, files):
+            for _ in range(6):
+                for path, text in files:
+                    path.write_text(text)
+                    client.invalidate([str(path)])
+                for path, _text in files:
+                    path.unlink()
+                    client.invalidate([str(path)])
+
+        def edit(client):
+            helper = alpha / "helper.php"
+            guarded_text = helper.read_text()
+            for round_ in range(6):
+                touch(alpha / "includes" / "shared.inc")
+                touch(alpha / "lang" / "lan_en.inc")
+                helper.write_text(
+                    guarded_text if round_ % 2
+                    else "<?php\nmysql_query('SELECT 2'); ?>"
+                )
+                client.invalidate(
+                    ["includes/shared.inc", "lang/lan_en.inc", "helper.php"]
+                )
+
+        def analyze(project):
+            def body(client):
+                while not stop.is_set():
+                    try:
+                        client.analyze(project=project)
+                    except ServerError:
+                        pass
+            return body
+
+        writers = [
+            guarded("packs", lambda c: add_and_delete(c, [
+                (alpha / "lang" / "lan_de.inc", "<?php $g = $_GET['g']; ?>"),
+                (alpha / "lang" / "lan_fr.inc", "<?php $g = 'salut'; ?>"),
+            ])),
+            guarded("pages", lambda c: add_and_delete(c, [
+                (alpha / "late.php", "<?php mysql_query('SELECT 4'); ?>"),
+            ])),
+            guarded("edits", edit),
+        ]
+        readers = [
+            guarded("analyze-alpha", analyze(None)),
+            guarded("analyze-beta", analyze("beta")),
+            guarded("analyze-alpha-2", analyze(None)),
+        ]
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=120)
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=120)
+        assert not failures, failures
+
+        for project, app in ((None, alpha), ("beta", beta)):
+            served = setup.analyze(project=project)["document"]
+            assert json.dumps(served, indent=2) + "\n" == cold_cli_json(app), (
+                project or "alpha"
+            )
+        assert setup.ping()["pong"] is True

@@ -300,3 +300,169 @@ class TestColdRunEquivalence:
         cold = run_cli(str(corpus_app), "--json")
         assert proc.stdout == cold.stdout
         assert proc.returncode == cold.returncode
+
+
+LAN_INDEX_PHP = (
+    "<?php $lang = $_COOKIE['lang'];\n"
+    "include('lang/lan_' . $lang . '.inc');\n"
+    "mysql_query(\"SELECT * FROM t WHERE g = '\" . $greeting . \"'\"); ?>"
+)
+GUARDED_HELPER_PHP = (
+    "<?php\nif (!defined('APP')) { exit; }\nmysql_query('SELECT 2'); ?>"
+)
+UNGUARDED_HELPER_PHP = "<?php\nmysql_query('SELECT 2'); ?>"
+
+
+@pytest.fixture
+def layout_app(tmp_path):
+    """A layout-sensitive page (paper §4's dynamic include over
+    ``lang/lan_*.inc``), a guarded library file at the top level, an
+    include nothing names, and a plain page."""
+    app = tmp_path / "layout-app"
+    (app / "lang").mkdir(parents=True)
+    (app / "lang" / "lan_en.inc").write_text("<?php $greeting = 'hi'; ?>")
+    (app / "lang" / "lan_fr.inc").write_text("<?php $greeting = 'salut'; ?>")
+    (app / "index.php").write_text(LAN_INDEX_PHP)
+    (app / "helper.php").write_text(GUARDED_HELPER_PHP)
+    (app / "unused.inc").write_text("<?php $unused = 1; ?>")
+    (app / "about.php").write_text(STANDALONE_PHP)
+    return app
+
+
+def assert_matches_cold_cli(app, response):
+    cold = run_cli(str(app), "--json", "--audit")
+    assert cold.returncode in (0, 1, 3), cold.stderr
+    assert json.dumps(response["document"], indent=2) + "\n" == cold.stdout
+
+
+def analyzed_pages(response):
+    return [Path(page["page"]).name for page in response["document"]["pages"]]
+
+
+class TestResidentLayout:
+    """``invalidate`` tells a content edit of a listed file from a real
+    addition or deletion, and only the latter rebuilds the layout."""
+
+    def test_edit_of_unincluded_file_is_a_content_edit(
+        self, layout_app, start_daemon
+    ):
+        client = start_daemon(layout_app).client()
+        first = client.analyze()
+        assert first["pages_total"] == 2
+        touch(layout_app / "unused.inc")
+        outcome = client.invalidate(["unused.inc"])
+        assert outcome["changed"] == ["unused.inc"]
+        assert outcome["added"] == []
+        assert outcome["invalidated_pages"] == []
+        after = client.analyze()
+        assert after["pages_reanalyzed"] == 0
+        assert client.status()["layout_builds"] == 1
+        assert_matches_cold_cli(layout_app, after)
+
+    def test_include_guard_toggle_moves_the_entry_page(
+        self, layout_app, start_daemon
+    ):
+        client = start_daemon(layout_app).client()
+        assert "helper.php" not in analyzed_pages(client.analyze())
+        helper = layout_app / "helper.php"
+
+        helper.write_text(UNGUARDED_HELPER_PHP)
+        assert client.invalidate(["helper.php"])["changed"] == ["helper.php"]
+        unguarded = client.analyze()
+        assert analyzed_pages(unguarded) == ["about.php", "helper.php", "index.php"]
+        assert unguarded["pages_reanalyzed"] == 1
+        assert_matches_cold_cli(layout_app, unguarded)
+
+        helper.write_text(GUARDED_HELPER_PHP)
+        assert client.invalidate(["helper.php"])["changed"] == ["helper.php"]
+        guarded = client.analyze()
+        assert analyzed_pages(guarded) == ["about.php", "index.php"]
+        assert guarded["pages_reanalyzed"] == 0
+        assert_matches_cold_cli(layout_app, guarded)
+        assert client.status()["layout_builds"] == 1
+
+    def test_addition_requeues_layout_sensitive_pages_and_rebuilds(
+        self, layout_app, start_daemon
+    ):
+        client = start_daemon(layout_app).client()
+        before = client.analyze()
+        (layout_app / "lang" / "lan_de.inc").write_text(
+            "<?php $greeting = $_GET['g']; ?>"
+        )
+        outcome = client.invalidate(["lang/lan_de.inc"])
+        assert outcome["added"] == ["lang/lan_de.inc"]
+        assert outcome["changed"] == []
+        assert outcome["invalidated_pages"] == ["index.php"]
+        after = client.analyze()
+        assert after["pages_reanalyzed"] == 1
+        assert client.status()["layout_builds"] == 2
+        # the new pack is tainted: the rebuilt layout's resolver found it
+        assert before["document"]["verified"] is True
+        assert after["document"]["verified"] is False
+        assert_matches_cold_cli(layout_app, after)
+
+    def test_deletion_requeues_layout_sensitive_pages_and_rebuilds(
+        self, layout_app, start_daemon
+    ):
+        client = start_daemon(layout_app).client()
+        client.analyze()
+        (layout_app / "lang" / "lan_fr.inc").unlink()
+        outcome = client.invalidate(["lang/lan_fr.inc"])
+        assert outcome["deleted"] == ["lang/lan_fr.inc"]
+        assert outcome["invalidated_pages"] == ["index.php"]
+        after = client.analyze()
+        assert after["pages_reanalyzed"] == 1
+        assert client.status()["layout_builds"] == 2
+        assert_matches_cold_cli(layout_app, after)
+
+    def test_late_notice_of_an_addition_is_still_an_addition(
+        self, layout_app, start_daemon
+    ):
+        """A rebuild after another event may already list a file whose
+        addition is notified later; it must still count as added."""
+        client = start_daemon(layout_app).client()
+        client.analyze()
+        (layout_app / "lang" / "lan_de.inc").write_text(
+            "<?php $greeting = $_GET['g']; ?>"
+        )
+        (layout_app / "about.php").unlink()
+        client.invalidate(["about.php"])
+        client.analyze()  # rebuilds the layout, lan_de.inc included
+        outcome = client.invalidate(["lang/lan_de.inc"])
+        assert outcome["added"] == ["lang/lan_de.inc"]
+        assert_matches_cold_cli(layout_app, client.analyze())
+
+    def test_restarted_daemon_reports_unrecorded_file_as_added(
+        self, layout_app, tmp_path, start_daemon
+    ):
+        cache = tmp_path / "cache"
+        first = start_daemon(layout_app, cache_dir=cache)
+        first.client().analyze()
+        first.stop()
+        client = start_daemon(layout_app, cache_dir=cache).client()
+        assert client.status()["depgraph"]["pages"] == 2
+        touch(layout_app / "unused.inc")
+        touch(layout_app / "lang" / "lan_en.inc")
+        outcome = client.invalidate(["unused.inc", "lang/lan_en.inc"])
+        assert outcome["added"] == ["unused.inc"]
+        assert outcome["changed"] == ["lang/lan_en.inc"]
+        assert_matches_cold_cli(layout_app, client.analyze())
+
+    def test_page_deleted_while_down_is_added_back_after_restart(
+        self, layout_app, tmp_path, start_daemon
+    ):
+        """The persisted depgraph still records ``about.php`` as a page;
+        once the restarted daemon has a layout without it, re-creating
+        it is an addition, not an edit of a known file."""
+        cache = tmp_path / "cache"
+        first = start_daemon(layout_app, cache_dir=cache)
+        first.client().analyze()
+        first.stop()
+        (layout_app / "about.php").unlink()
+        client = start_daemon(layout_app, cache_dir=cache).client()
+        assert client.analyze()["pages_total"] == 1
+        (layout_app / "about.php").write_text(STANDALONE_PHP)
+        assert client.invalidate(["about.php"])["added"] == ["about.php"]
+        after = client.analyze()
+        assert after["pages_total"] == 2
+        assert_matches_cold_cli(layout_app, after)

@@ -16,6 +16,13 @@ falls below the per-app floor.  The floors are measured at two workers,
 so any box with two or more cores can enforce them; only a single-core
 box, where no speedup is possible, skips the gate (with a warning).
 
+``--fuzz`` gates the differential fuzzer instead: the median per-page
+CPU over fuzz page seeds 0–99 (``run_fuzz`` one page at a time, no
+minimization, the ``fuzz-oracle`` page of ``perfbench``), each page
+the best of ``--reps`` fresh processes, against ``fuzz_page_cpu_seconds``
+at the same tolerance.  ``--fuzz --update`` re-calibrates that budget
+only.
+
 Budgets are calibrated on the reference machine with deliberate
 headroom over the measured walls (see the ``calibration`` block in
 ``budgets.json``), so ordinary CI-runner jitter stays well inside the
@@ -30,6 +37,8 @@ headroom factor.
 Usage::
 
     python benchmarks/bench_gate.py [--tolerance 0.25] [--reps 3] [--update]
+    python benchmarks/bench_gate.py --parallel [--reps 3]
+    python benchmarks/bench_gate.py --fuzz [--reps 3] [--update]
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -156,6 +166,77 @@ def gate_parallel(budgets: dict, reps: int) -> int:
     return 0
 
 
+#: fuzz page seeds the ``--fuzz`` gate times
+FUZZ_PAGES = 100
+
+#: one pass over the fuzz page seeds in a fresh process: per-page CPU
+_FUZZ_PASS = """
+import json, sys, time
+from repro.oracle.fuzz import run_fuzz
+
+cpu = []
+for seed in range(int(sys.argv[1])):
+    begin = time.process_time()
+    run_fuzz(1, seed, minimize=False, progress_every=0, log=lambda *_: None)
+    cpu.append(time.process_time() - begin)
+print(json.dumps(cpu))
+"""
+
+
+def measure_fuzz(reps: int) -> float:
+    """Median over the fuzz page seeds of each page's best-of-``reps``
+    CPU, every rep in a fresh process so no memo carries over."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    passes = []
+    for _ in range(reps):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FUZZ_PASS, str(FUZZ_PAGES)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        passes.append(json.loads(proc.stdout.splitlines()[-1]))
+    return statistics.median(min(page) for page in zip(*passes))
+
+
+def gate_fuzz(budgets: dict, reps: int, tolerance: float, update: bool) -> int:
+    """Fail when the median fuzz page costs more CPU than its budget."""
+    print(
+        f"measuring {FUZZ_PAGES} fuzz pages (best of {reps} per page) ...",
+        flush=True,
+    )
+    median = measure_fuzz(reps)
+    if update:
+        calibration = budgets.setdefault("calibration", {})
+        headroom = calibration.get("headroom_factor", 1.4)
+        budgets["fuzz_page_cpu_seconds"] = round(median * headroom, 4)
+        calibration["fuzz"] = {
+            "measured_median_page_cpu_seconds": round(median, 4),
+            "pages": FUZZ_PAGES,
+            "best_of": reps,
+            "machine": machine_description(),
+        }
+        BUDGETS_PATH.write_text(json.dumps(budgets, indent=2) + "\n")
+        print(f"recalibrated the fuzz budget in {BUDGETS_PATH}")
+        return 0
+    budget = budgets["fuzz_page_cpu_seconds"]
+    limit = budget * (1.0 + tolerance)
+    verdict = "ok" if median <= limit else "FAIL"
+    print(
+        f"  median page: {median * 1000:.1f} ms CPU  (budget "
+        f"{budget * 1000:.1f} ms, limit {limit * 1000:.1f} ms)  {verdict}"
+    )
+    if median > limit:
+        print(
+            f"\nfuzz gate FAILED: median page {median:.4f}s > {limit:.4f}s. "
+            "If this regression is intentional, re-calibrate with "
+            "`python benchmarks/bench_gate.py --fuzz --update --reps 5`.",
+            file=sys.stderr,
+        )
+        return 1
+    print("fuzz gate passed")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -177,6 +258,13 @@ def main(argv: list[str] | None = None) -> int:
             "in budgets.json) instead of the serial wall budgets"
         ),
     )
+    parser.add_argument(
+        "--fuzz", action="store_true",
+        help=(
+            "gate the median per-page CPU of the differential fuzzer "
+            "(fuzz_page_cpu_seconds in budgets.json) instead"
+        ),
+    )
     args = parser.parse_args(argv)
 
     budgets = json.loads(BUDGETS_PATH.read_text())
@@ -186,6 +274,8 @@ def main(argv: list[str] | None = None) -> int:
         args.tolerance if args.tolerance is not None
         else budgets.get("tolerance", 0.25)
     )
+    if args.fuzz:
+        return gate_fuzz(budgets, args.reps, tolerance, args.update)
     headroom = budgets.get("calibration", {}).get("headroom_factor", 1.4)
 
     measured: dict[str, float] = {}

@@ -1,17 +1,21 @@
 """Throughput benchmark for the differential soundness fuzzer.
 
 Measures, for a fixed seed and iteration budget, how the fuzz loop's
-wall-clock divides between its three stages —
+wall-clock divides between its four stages —
 
 * ``generate``  — sampling the page + input vectors,
-* ``analyze``   — the abstract interpreter + verdict cascades,
-* ``execute``   — concrete interpretation and membership/verdict
-  cross-checks
+* ``analyze``   — the abstract interpreter (phase 1 and the hotspot
+  grammars; no verdicts yet),
+* ``execute``   — concrete interpretation of every vector, on the
+  analysis's parsed trees,
+* ``check``     — membership and verdict cross-checks of every hit; the
+  verdict cascades run here, lazily, on the first hit at each site
 
-— and reports pages/second and sink-hits/second.  The numbers bound
-how large a CI iteration budget can be (``.github/workflows``): the
-smoke job runs 150 iterations, the nightly budget is derived from the
-pages/second figure here.
+— matching perfbench's ``oracle.analyze`` / ``oracle.execute`` /
+``oracle.check`` spans, and reports pages/second and sink-hits/second.
+The numbers bound how large a CI iteration budget can be
+(``.github/workflows``): the smoke job runs 150 iterations, the nightly
+budget is derived from the pages/second figure here.
 
 Writes ``BENCH_fuzz.json`` at the repository root.
 
@@ -42,7 +46,7 @@ from repro.oracle.interp import UnsupportedConstruct, execute_page  # noqa: E402
 
 def run_benchmark(iterations: int, seed: int, vectors_per_page: int) -> dict:
     rng = random.Random(seed)
-    timings = {"generate": 0.0, "analyze": 0.0, "execute": 0.0}
+    timings = {"generate": 0.0, "analyze": 0.0, "execute": 0.0, "check": 0.0}
     hits = 0
     divergences = 0
     skipped = 0
@@ -59,17 +63,22 @@ def run_benchmark(iterations: int, seed: int, vectors_per_page: int) -> dict:
             oracle = PageOracle(workdir, entry)
             timings["analyze"] += time.perf_counter() - begin
 
-            begin = time.perf_counter()
             for vector in vectors:
+                begin = time.perf_counter()
                 try:
-                    page_hits = execute_page(workdir, entry, vector)
+                    page_hits = execute_page(
+                        workdir, entry, vector, trees=oracle.result.trees
+                    )
                 except UnsupportedConstruct:
                     skipped += 1
                     continue
+                finally:
+                    timings["execute"] += time.perf_counter() - begin
                 hits += len(page_hits)
+                begin = time.perf_counter()
                 for hit in page_hits:
                     divergences += len(oracle.check_hit(hit, vector))
-            timings["execute"] += time.perf_counter() - begin
+                timings["check"] += time.perf_counter() - begin
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
     elapsed = time.perf_counter() - started

@@ -544,7 +544,8 @@ def _fst_image_uncached(
 
 
 def _image_trim(result: Grammar, start: Nonterminal) -> Grammar:
-    """``result.trim(start)`` specialized to freshly materialized images.
+    """``result.trim(start)`` specialized to freshly materialized images
+    (and to the reachable-only products of :mod:`repro.lang.intersect`).
 
     The reachable-triple prepass guarantees every materialized triple is
     productive and reachable from ``start``, and ``fresh()`` inserts

@@ -13,7 +13,9 @@ The construction runs in two stages:
    state pairs ``(i, j)`` such that some string of ``X`` drives the DFA
    from ``i`` to ``j`` (this alone answers emptiness queries, which is
    all the policy checks need), and
-2. on demand, materialization of the triple grammar.
+2. on demand, materialization of the triple grammar — only the triples
+   that derive from an accepting start pair ``S_{q0,qf}``, found by a
+   top-down walk over the solved pairs before anything is built.
 
 Working over a *deterministic* automaton keeps literal terminals cheap:
 a multi-character literal reaches exactly one ``j`` from each ``i``.
@@ -29,6 +31,7 @@ from repro.obs.metrics import PERF
 from .charset import CharSet
 from .fsa import DFA
 from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol, is_terminal
+from .image import _image_trim
 
 
 class _PairTable:
@@ -202,57 +205,9 @@ def _pair_table(grammar: Grammar, dfa: DFA) -> _PairTable:
     return table
 
 
-def _reach_trim(result: Grammar, start: Nonterminal) -> Grammar:
-    """Reachability-only trim for freshly materialized triple grammars.
-
-    Every triple minted by ``get_triple`` carries a state pair from the
-    solved table, i.e. some string of the original nonterminal drives
-    the DFA between its states — so every nonterminal of ``result``
-    derives a terminal string and ``productive()`` would return the
-    full set.  ``trim`` therefore reduces to its reachability filter,
-    and since reachable nonterminals only reference reachable ones, no
-    individual rule is ever dropped.  Rule lists are shared rather than
-    re-added (the untrimmed grammar is discarded on return); iteration
-    over ``sorted(keep)`` and the label copy mirror ``trim`` exactly,
-    keeping the production order — and hence output bytes — identical.
-    """
-    if not result.productions.get(start):
-        # no accepting pair: degenerate empty-language grammar
-        return result.trim(start)
-    keep = result.reachable(start)
-    trimmed = Grammar(start)
-    productions = trimmed.productions
-    nrules = 0
-    source = result.productions
-    for nt in sorted(keep):
-        rules = source.get(nt) or []
-        productions[nt] = rules
-        nrules += len(rules)
-    trimmed._nrules = nrules
-    trimmed.copy_labels_from(result, keep)
-    return trimmed
-
-
 def intersection_is_empty(grammar: Grammar, root: Nonterminal, dfa: DFA) -> bool:
-    """True iff L(grammar, root) ∩ L(dfa) = ∅ (no triple grammar built).
-
-    A table already solved for this (scope, automaton) pair answers
-    exactly and at once.  Otherwise the charset/length abstraction
-    (:func:`repro.lang.abstraction.prefilter_decides_empty`) goes first:
-    it over-approximates ``L(grammar, root)``, so a "provably empty"
-    answer from it is always the exact answer and the pair fixpoint can
-    be skipped.  Anything else falls through to a new table.
-    """
-    from .abstraction import prefilter_decides_empty
-
-    table = _cached_pair_table(grammar, dfa)
-    if table is None:
-        if prefilter_decides_empty(grammar, root, dfa):
-            PERF.incr("prefilter.hits")
-            return True
-        PERF.incr("prefilter.misses")
-        table = _pair_table(grammar, dfa)
-    return not table.accepts_from(root)
+    """True iff L(grammar, root) ∩ L(dfa) = ∅ (no triple grammar built)."""
+    return not _pair_table(grammar, dfa).accepts_from(root)
 
 
 def intersect(
@@ -261,10 +216,13 @@ def intersect(
     """The annotated intersection grammar (paper Figure 7 + TAINTIF).
 
     Returns ``(result, start)``; the result is trimmed.  Labels on
-    ``X_{ij}`` mirror the labels on ``X`` (Theorem 3.1).
+    ``X_{ij}`` mirror the labels on ``X`` (Theorem 3.1).  Only the
+    triples that derive from an accepting start pair are built.
     """
     table = _pair_table(grammar, dfa)
     normalized = table.grammar
+    rules = normalized.productions
+    pairs = table.pairs
     result = Grammar()
     triple: dict[tuple[Nonterminal, int, int], Nonterminal] = {}
 
@@ -285,7 +243,7 @@ def intersect(
         """The (i, j)-restriction of one rhs symbol, or None if invalid."""
         kind = type(symbol)
         if kind is Nonterminal:
-            if (i, j) in table.pairs[symbol]:
+            if (i, j) in pairs[symbol]:
                 return get_triple(symbol, i, j)
             return None
         if kind is Lit:
@@ -301,29 +259,80 @@ def intersect(
     term_cache: dict[int, set[tuple[int, int]]] = {}
     by_start_cache: dict[int, dict[int, list[int]]] = {}
 
+    def sym_pairs(symbol: Symbol) -> set[tuple[int, int]]:
+        if isinstance(symbol, Nonterminal):
+            return pairs[symbol]
+        key = id(symbol)
+        found = term_cache.get(key)
+        if found is None:
+            found = set(table.term_pairs(symbol))
+            term_cache[key] = found
+        return found
+
     def by_start_of(symbol: Symbol) -> dict[int, list[int]]:
         key = id(symbol)
         index = by_start_cache.get(key)
         if index is None:
-            if isinstance(symbol, Nonterminal):
-                found = table.pairs[symbol]
-            else:
-                found = term_cache.get(key)
-                if found is None:
-                    found = set(table.term_pairs(symbol))
-                    term_cache[key] = found
             index = {}
-            for i2, mid in found:
+            for i2, mid in sym_pairs(symbol):
                 index.setdefault(i2, []).append(mid)
             by_start_cache[key] = index
         return index
 
-    for lhs, rhss in normalized.productions.items():
+    # Reachable-triple prepass (as in fst_image): walk the triple graph
+    # top-down from the accepting start pairs before creating anything.
+    # A body of X_{ij} references Y_{i,mid} / B_{mid,j} only when both
+    # sides have a valid crossing, which the solved table decides alone.
+    members = {
+        (root, dfa.start, qf)
+        for qf in dfa.accepts
+        if (dfa.start, qf) in pairs[root]
+    }
+    stack = list(members)
+    while stack:
+        lhs, i, j = stack.pop()
+        for rhs in rules.get(lhs, ()):
+            if not rhs:
+                continue
+            if len(rhs) == 1:
+                symbol = rhs[0]
+                if type(symbol) is Nonterminal and (i, j) in pairs[symbol]:
+                    succ = (symbol, i, j)
+                    if succ not in members:
+                        members.add(succ)
+                        stack.append(succ)
+                continue
+            first, second = rhs
+            second_pairs = sym_pairs(second)
+            first_is_nt = type(first) is Nonterminal
+            second_is_nt = type(second) is Nonterminal
+            for mid in by_start_of(first).get(i, ()):
+                if (mid, j) not in second_pairs:
+                    continue
+                if first_is_nt:
+                    succ = (first, i, mid)
+                    if succ not in members:
+                        members.add(succ)
+                        stack.append(succ)
+                if second_is_nt:
+                    succ = (second, mid, j)
+                    if succ not in members:
+                        members.add(succ)
+                        stack.append(succ)
+
+    # Materialize in the eager construction's order, members only: each
+    # member gets exactly the rules the eager build gave it.  A member's
+    # realizable pair always has a valid body, so the only triples left
+    # without rules are orphans minted for the left side of a dropped
+    # body, which _image_trim filters out.
+    for lhs, rhss in rules.items():
         # Pre-dispatch each rhs once per lhs instead of once per state
         # pair; the prepared tuples carry no side effects, so hoisting
         # them leaves triple creation order unchanged.
         prepared: list[tuple] | None = None
-        for i, j in table.pairs[lhs]:
+        for i, j in pairs[lhs]:
+            if (lhs, i, j) not in members:
+                continue
             if prepared is None:
                 prepared = []
                 for rhs in rhss:
@@ -349,14 +358,13 @@ def intersect(
                         bodies.append((restricted,))
                 elif i == j:
                     bodies.append(())
-            if bodies:
-                result._bulk_add(lhs_triple, bodies)
+            result._bulk_add(lhs_triple, bodies)
 
     start = result.fresh(f"{root.name}∩")
     result.start = start
     for label in normalized.labels.get(root, ()):
         result.add_label(start, label)
     for qf in dfa.accepts:
-        if (dfa.start, qf) in table.pairs[root]:
+        if (dfa.start, qf) in pairs[root]:
             result.add(start, (get_triple(root, dfa.start, qf),))
-    return _reach_trim(result, start), start
+    return _image_trim(result, start), start

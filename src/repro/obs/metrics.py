@@ -254,7 +254,6 @@ def _sub_histograms(now: dict, before: dict) -> dict:
 #: the counter pairs the cache-effectiveness table derives rates from:
 #: (display label, hits counter, misses counter, extra counters shown)
 CACHE_RATE_ROWS = (
-    ("prefilter", "prefilter.hits", "prefilter.misses", ()),
     ("image cache", "image.cache.hits", "image.cache.misses",
      ("image.cache.replays",)),
     ("verdict memo", "policy.verdict_cache.hits",

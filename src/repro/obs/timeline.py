@@ -8,7 +8,7 @@ records flat, phase-tagged spans —
 interpretation), ``intersect`` / ``image`` (its grammar refinements and
 transducer images), ``phase2``, ``hotspot`` (one hotspot's check),
 ``verdict-memo`` (lookup, hit or miss), ``cascade:<policy>`` (the
-phase-2 check cascade), ``prefilter``, ``image.construct`` /
+phase-2 check cascade), ``image.construct`` /
 ``image.rebind``, ``audit``, ``cache.page_load``, ``pickle`` (result
 serialization for the IPC hop), and ``gc`` (a cyclic collector pause,
 recorded by :mod:`repro.obs.gcprobe`)
@@ -51,7 +51,7 @@ from repro.obs.metrics import PERF
 TIMELINE_FORMAT = "sqlciv-timeline/1"
 
 #: The spans the ``--trace`` view renders: those whose existence does
-#: not depend on per-process memo state (``cascade:*``, ``prefilter``,
+#: not depend on per-process memo state (``cascade:*`` and
 #: ``image.construct``/``image.rebind`` run only on a memo miss;
 #: ``cache.page_load``, ``gc`` and ``pickle`` only under some options),
 #: so a serial and a ``--jobs N`` run render the same tree.  ``page`` is

@@ -2,7 +2,8 @@
 
 For one page the checker runs the abstract interpreter once, then
 replays any number of concrete :class:`~repro.oracle.interp.InputVector`
-executions against the result, asserting the two promises the analysis
+executions against the result — on the analysis's own parsed trees, so
+each file is parsed once — asserting the two promises the analysis
 makes:
 
 1. **Membership** (soundness of the grammar, paper Theorem 3.4): every
@@ -238,7 +239,8 @@ class PageOracle:
         the execution leaves the mirrored subset — callers skip those.
         """
         hits = execute_page(
-            self.project_root, self.entry, vector, extra_sinks=self.extra_sinks
+            self.project_root, self.entry, vector, extra_sinks=self.extra_sinks,
+            trees=self.result.trees,
         )
         out: list[Divergence] = []
         for hit in hits:
@@ -269,7 +271,7 @@ def diff_page(
         try:
             concrete_hits = execute_page(
                 oracle.project_root, oracle.entry, vector,
-                extra_sinks=oracle.extra_sinks,
+                extra_sinks=oracle.extra_sinks, trees=oracle.result.trees,
             )
         except UnsupportedConstruct:
             skipped += 1

@@ -3,8 +3,9 @@
 Each iteration samples a random page from the construct pools in
 :func:`repro.corpus.generator.generate_fuzz_page`, samples a handful of
 input vectors mixing attack-ish and benign strings, runs the static
-analysis once and the concrete interpreter once per vector, and
-cross-checks membership and verdicts (:mod:`repro.oracle.differ`).
+analysis once and the concrete interpreter once per vector on the
+analysis's own parsed trees, and cross-checks membership and verdicts
+(:mod:`repro.oracle.differ`).
 
 On a divergence the driver shrinks the page to a minimal reproducer
 (greedy line deletion — syntactically broken candidates are rejected
@@ -324,7 +325,8 @@ def run_fuzz(
                 report.vectors += 1
                 try:
                     hits = execute_page(
-                        workdir, entry, vector, extra_sinks=oracle.extra_sinks
+                        workdir, entry, vector, extra_sinks=oracle.extra_sinks,
+                        trees=oracle.result.trees,
                     )
                 except UnsupportedConstruct:
                     report.skipped_vectors += 1

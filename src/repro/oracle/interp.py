@@ -49,6 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 from repro.analysis import sources
 from repro.analysis.stringtaint import MAX_CALL_DEPTH
@@ -73,12 +74,6 @@ from repro.php.parser import PhpParseError, parse
 LOOP_CAP = 64
 #: total eval/exec steps before the execution is abandoned
 STEP_BUDGET = 200_000
-
-#: (path, source) → parsed AST (or None for unparseable files); bounded,
-#: cleared wholesale on overflow.  See :meth:`Interpreter._parse`.
-_AST_MEMORY: dict[tuple[str, str], "ast.File | None"] = {}
-_AST_MEMORY_CAP = 256
-_AST_MISS = object()
 
 _ARITH_LANGUAGE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
@@ -364,6 +359,7 @@ class Interpreter:
         state: ConcreteState | None = None,
         resolver: IncludeResolver | None = None,
         extra_sinks: dict[str, int] | None = None,
+        trees: Mapping[str, ast.File] | None = None,
     ) -> None:
         self.project_root = Path(project_root)
         self.vector = vector
@@ -373,6 +369,9 @@ class Interpreter:
         #: (name → sink argument index), e.g. the shell-command table
         #: when fuzzing ``--policy shell``
         self.extra_sinks = extra_sinks or {}
+        #: parsed files by path (None: unparseable), seeded from an
+        #: analysis of the same files (``AnalysisResult.trees``)
+        self.trees: dict[str, ast.File | None] = dict(trees or {})
         self.hits: list[ConcreteHit] = []
         self.functions: dict[str, ast.FunctionDef] = {}
         self.classes: dict[str, ast.ClassDef] = {}
@@ -401,28 +400,22 @@ class Interpreter:
         return self.hits
 
     def _parse(self, path: Path) -> ast.File | None:
+        # ASTs are read-only after construction (the analyzer already
+        # shares them across pages), so the analysis's own trees serve
+        # every execution of the page; only files it did not parse are
+        # parsed here, once per interpreter.
+        key = str(path)
+        if key in self.trees:
+            return self.trees[key]
         try:
             source = path.read_text()
         except OSError:
             return None
-        # Content-addressed AST memory shared by every interpreter in
-        # the process: the fuzz loop executes each generated page once
-        # per input vector, and without this the lexer+parser dominate
-        # the execute stage.  ASTs are read-only after construction
-        # (the analyzer already shares them across pages), so handing
-        # out the same tree is safe.  Keying on the source text means a
-        # rewritten file can never alias a stale tree.
-        key = (str(path), source)
-        cached = _AST_MEMORY.get(key, _AST_MISS)
-        if cached is not _AST_MISS:
-            return cached
         try:
-            tree = parse(source, str(path))
+            tree = parse(source, key)
         except (PhpParseError, ValueError):
             tree = None
-        if len(_AST_MEMORY) >= _AST_MEMORY_CAP:
-            _AST_MEMORY.clear()
-        _AST_MEMORY[key] = tree
+        self.trees[key] = tree
         return tree
 
     def _interpret_file(self, tree: ast.File, env: Env) -> None:
@@ -1531,14 +1524,19 @@ def execute_page(
     state: ConcreteState | None = None,
     resolver: IncludeResolver | None = None,
     extra_sinks: dict[str, int] | None = None,
+    trees: Mapping[str, ast.File] | None = None,
 ) -> list[ConcreteHit]:
     """Run ``entry`` under ``vector``; returns the sink hits.
+
+    ``trees`` is the ``AnalysisResult.trees`` of an analysis that saw
+    the same files; pass it only then, since a file edited after that
+    analysis would be served its old tree.
 
     Raises :class:`UnsupportedConstruct` when the page (or this
     particular execution) leaves the consistency-mirrored subset.
     """
     interpreter = Interpreter(
         project_root, vector, state=state, resolver=resolver,
-        extra_sinks=extra_sinks,
+        extra_sinks=extra_sinks, trees=trees,
     )
     return interpreter.run(entry)

@@ -6,10 +6,9 @@ pre-optimization pipeline with **every** registered sink policy enabled
 (``policies: [sql, xss, xss-context, shell, eval, path]``): ``--json``
 documents and SARIF logs for all five corpus applications.  The
 hardware-fast kernels (bitset charsets, integer-indexed Earley, lazy FST
-images, the abstraction pre-filter) must not perturb a single byte of
-them — the pre-filter in particular may only ever answer "provably
-safe" when the exact CFG ∩ FSA check would, so verdicts, witnesses,
-sample queries, provenance, and SARIF all stay bit-stable.
+images, reachable-only intersections) must not perturb a single byte of
+them, so verdicts, witnesses, sample queries, provenance, and SARIF all
+stay bit-stable.
 
 The ``--json`` check also runs every app on a two-worker analysis farm
 (``jobs=2``), whose documents must match the same goldens byte for

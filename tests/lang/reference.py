@@ -2,12 +2,13 @@
 
 The hot kernels — :mod:`repro.lang.charset`, the Earley recognizer in
 :mod:`repro.lang.earley`, the FST-image construction in
-:mod:`repro.lang.image` — were rewritten for speed (hash-consed bitset
-charsets, integer-indexed charts, lazy triple materialization).  This
-module keeps the original, obviously-correct formulations *verbatim in
-spirit*: interval-walk set algebra, the textbook item-set recognizer,
-and the eager full-product image.  They are deliberately slow and
-deliberately simple.
+:mod:`repro.lang.image`, the CFG ∩ DFA product in
+:mod:`repro.lang.intersect` — were rewritten for speed (hash-consed
+bitset charsets, integer-indexed charts, lazy triple materialization).
+This module keeps the original, obviously-correct formulations
+*verbatim in spirit*: interval-walk set algebra, the textbook item-set
+recognizer, and the eager full-product image and intersection.  They
+are deliberately slow and deliberately simple.
 
 ``tests/lang/test_kernel_equivalence.py`` drives randomized inputs
 through both implementations and asserts extensional equality — the
@@ -56,7 +57,7 @@ def ref_union(a: Intervals, b: Intervals) -> Intervals:
     return ref_normalize(a + b)
 
 
-def ref_intersect(a: Intervals, b: Intervals) -> Intervals:
+def ref_interval_intersect(a: Intervals, b: Intervals) -> Intervals:
     result = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -84,7 +85,7 @@ def ref_complement(a: Intervals) -> Intervals:
 
 
 def ref_difference(a: Intervals, b: Intervals) -> Intervals:
-    return ref_intersect(a, ref_complement(b))
+    return ref_interval_intersect(a, ref_complement(b))
 
 
 def ref_overlaps(a: Intervals, b: Intervals) -> bool:
@@ -421,6 +422,77 @@ def ref_fst_image(grammar, root, fst):
         if flush:
             body = body + (Lit(flush),)
         result.add(start, body)
+    return result.trim(start), start
+
+
+# ---------------------------------------------------------------------------
+# the original eager CFG ∩ DFA construction (paper Figure 7)
+# ---------------------------------------------------------------------------
+
+
+def ref_intersect(grammar, root, dfa):
+    """The original (pre-optimization) intersection: a triple for every
+    (nonterminal, realizable pair) of the normalized scope, then a full
+    trim.  Returns ``(result, start)``.
+
+    The pair fixpoint is the analysis's own; what this checks is the
+    materialization.  The optimized build must give every kept triple
+    the same name, labels and rules in the same order.
+    """
+    from repro.lang.grammar import Grammar, Lit
+    from repro.lang.grammar import Nonterminal as NT
+    from repro.lang.intersect import _PairTable
+
+    table = _PairTable(grammar, dfa)
+    normalized = table.grammar
+    result = Grammar()
+    triple = {}
+
+    def get_triple(nt, i, j):
+        key = (nt, i, j)
+        if key not in triple:
+            fresh = result.fresh(f"{nt.name}@{i},{j}")
+            triple[key] = fresh
+            for label in normalized.labels.get(nt, ()):
+                result.add_label(fresh, label)
+        return triple[key]
+
+    def rhs_symbol(symbol, i, j):
+        if isinstance(symbol, NT):
+            return get_triple(symbol, i, j) if (i, j) in table.pairs[symbol] else None
+        if isinstance(symbol, Lit):
+            return symbol if table.lit_target(symbol.text, i) == j else None
+        refined = table.charset_refined(symbol, i, j)
+        return refined if refined else None
+
+    for lhs, rhss in normalized.productions.items():
+        for i, j in table.pairs[lhs]:
+            lhs_triple = get_triple(lhs, i, j)
+            for rhs in rhss:
+                if not rhs:
+                    if i == j:
+                        result.add(lhs_triple, ())
+                elif len(rhs) == 1:
+                    restricted = rhs_symbol(rhs[0], i, j)
+                    if restricted is not None:
+                        result.add(lhs_triple, (restricted,))
+                else:
+                    first, second = rhs
+                    for i2, mid in table.symbol_pairs(first):
+                        if i2 != i:
+                            continue
+                        left = rhs_symbol(first, i, mid)
+                        right = rhs_symbol(second, mid, j)
+                        if left is not None and right is not None:
+                            result.add(lhs_triple, (left, right))
+
+    start = result.fresh(f"{root.name}∩")
+    result.start = start
+    for label in normalized.labels.get(root, ()):
+        result.add_label(start, label)
+    for qf in dfa.accepts:
+        if (dfa.start, qf) in table.pairs[root]:
+            result.add(start, (get_triple(root, dfa.start, qf),))
     return result.trim(start), start
 
 

@@ -22,16 +22,9 @@ from repro.analysis.policies.registry import REGISTRY
 from repro.analysis.policy import VERDICT_CACHE, check_hotspot
 from repro.analysis.stringtaint import StringTaintAnalysis
 from repro.corpus import build_app
-from repro.lang.abstraction import (
-    _PRUNED_MEMO,
-    _pruned_profile,
-    abstraction_of,
-    prefilter_decides_empty,
-)
 from repro.lang.charset import CharSet
-from repro.lang.fsa import DFA
 from repro.lang.fst import FST
-from repro.lang.grammar import Grammar, Lit, gc_paused
+from repro.lang.grammar import gc_paused
 from repro.lang.image import IMAGE_CACHE
 
 
@@ -168,7 +161,6 @@ def test_paused_operations_build_no_cycles(tmp_path):
     assert len(hotspots) > 20
     VERDICT_CACHE.clear()
     IMAGE_CACHE.clear()
-    _PRUNED_MEMO.clear()
     gc.collect()
     gc.disable()
     try:
@@ -186,43 +178,3 @@ def test_paused_operations_build_no_cycles(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def _chain_grammar(depth: int) -> Grammar:
-    """N0 -> 'x' N1 | 'y',  N1 -> 'x' N2 | 'y',  ...  (acyclic)."""
-    grammar = Grammar()
-    nts = [grammar.fresh(f"N{i}") for i in range(depth)]
-    for here, below in zip(nts, nts[1:]):
-        grammar.add(here, (Lit("x"), below))
-        grammar.add(here, (Lit("y"),))
-    grammar.add(nts[-1], (Lit("z"),))
-    grammar.start = nts[0]
-    return grammar
-
-
-def test_abstraction_of_deeper_than_recursion_limit():
-    """The length bounds walk a 1,500-deep chain without recursion (and
-    without touching the process-wide recursion limit)."""
-    grammar = _chain_grammar(1500)
-    abstraction = abstraction_of(grammar, grammar.start)
-    assert abstraction.min_len == 1
-    assert abstraction.max_len == 1500
-    assert abstraction.closure == CharSet.of("xyz")
-
-
-def test_pruned_profile_deeper_than_recursion_limit():
-    """The longest accepting path of a 1,500-edge chain automaton, and
-    None once a back edge makes the live part cyclic."""
-    dfa = DFA()
-    states = [dfa.new_state() for _ in range(1501)]
-    for src, dst in zip(states, states[1:]):
-        dfa.add_edge(src, CharSet.of("a"), dst)
-    dfa.accepts = {states[-1]}
-    _PRUNED_MEMO.clear()
-    assert _pruned_profile(dfa, CharSet.of("a"))[:2] == (1500, 1500)
-    dfa.add_edge(states[700], CharSet.of("b"), states[3])
-    _PRUNED_MEMO.clear()
-    assert _pruned_profile(dfa, CharSet.of("ab"))[:2] == (1500, None)
-    # a chain of 'x's can never reach the 1500-'a' accept
-    grammar = _chain_grammar(1500)
-    assert prefilter_decides_empty(grammar, grammar.start, dfa)

@@ -1,10 +1,9 @@
 """Randomized equivalence: optimized kernels vs. their reference models.
 
 The hot kernels (bitset charsets, the compiled Earley recognizer and its
-char-level membership test, the lazy FST image, the one-pass trims, the
-abstraction pre-filter) all
-promise *exact* semantics — every optimization is a constant-factor
-rewrite, never an approximation.  `tests/lang/reference.py` keeps the
+char-level membership test, the lazy FST image, the reachable-only
+intersection, the one-pass trims) all promise *exact* semantics — every
+optimization is a constant-factor rewrite, never an approximation.  `tests/lang/reference.py` keeps the
 original, simple implementations; these tests drive both sides with
 randomized inputs and require agreement.
 """
@@ -12,7 +11,6 @@ randomized inputs and require agreement.
 from hypothesis import given, settings, strategies as st
 
 from . import reference as ref
-from repro.lang.abstraction import prefilter_decides_empty
 from repro.lang.charset import DIGITS, CharSet, partition_charsets
 from repro.lang.earley import (
     TokenGrammar,
@@ -21,14 +19,9 @@ from repro.lang.earley import (
     parse_sentential_form,
 )
 from repro.lang.fst import FST
-from repro.lang.grammar import Grammar, Lit
+from repro.lang.grammar import Grammar, Lit, Nonterminal
 from repro.lang.image import fst_image
-from repro.lang.intersect import (
-    _PairTable,
-    _pair_table,
-    intersect,
-    intersection_is_empty,
-)
+from repro.lang.intersect import _pair_table, intersect, intersection_is_empty
 from repro.lang.regex import full_match_language, parse_regex, search_language
 from repro.obs.metrics import PERF
 from repro.sql import bridge
@@ -133,7 +126,7 @@ class TestCharSetReference:
         x, y = CharSet(a), CharSet(b)
         an, bn = x.intervals, y.intervals
         assert x.union(y).intervals == ref.ref_union(an, bn)
-        assert x.intersect(y).intervals == ref.ref_intersect(an, bn)
+        assert x.intersect(y).intervals == ref.ref_interval_intersect(an, bn)
         assert x.difference(y).intervals == ref.ref_difference(an, bn)
         assert x.overlaps(y) == ref.ref_overlaps(an, bn)
         assert x.is_subset_of(y) == ref.ref_is_subset(an, bn)
@@ -224,7 +217,7 @@ class TestOnePassTrims:
     @given(random_grammar(), st.sampled_from(DFAS))
     @settings(max_examples=40, deadline=None)
     def test_intersect_trim_is_idempotent(self, g, dfa):
-        # same contract for _reach_trim inside intersect
+        # same contract for the orphan filter inside intersect
         result, start = intersect(g, g.start, dfa)
         assert _same_grammar(result.trim(start), result)
 
@@ -251,25 +244,62 @@ class TestRuleCountInvariant:
         check(img)
 
 
-# -- abstraction pre-filter vs. exact CFG ∩ FSA -------------------------------
+# -- reachable-only intersection vs. the eager product -----------------------
 
 
-class TestPrefilterSoundness:
-    @given(random_grammar(), st.sampled_from(DFAS))
-    @settings(max_examples=100, deadline=None)
-    def test_prefilter_empty_implies_exactly_empty(self, g, dfa):
-        """A "provably empty" pre-filter answer must agree with the
-        exact pair-fixpoint emptiness — the pre-filter may only ever
-        skip work, never change a verdict."""
-        decided = prefilter_decides_empty(g, g.start, dfa)
-        table = _PairTable(g, dfa)
-        exact_empty = not any(
-            (dfa.start, qf) in table.pairs[g.start] for qf in dfa.accepts
+@st.composite
+def intersect_case(draw):
+    """A random grammar plus the shapes the reachable-only build must
+    get right: a unit cycle, a productive nonterminal nothing references,
+    and taint labels."""
+    g = draw(random_grammar())
+    nts = list(g.productions)
+    a, b = draw(st.sampled_from(nts)), draw(st.sampled_from(nts))
+    g.add(a, (b,))
+    g.add(b, (a,))
+    unreachable = g.fresh("U")
+    g.add(unreachable, (draw(AB_LEAF), draw(st.sampled_from(nts))))
+    g.add(unreachable, (draw(AB_LEAF),))
+    for nt in list(g.productions):
+        if draw(st.booleans()):
+            g.add_label(nt, "taint")
+    return g
+
+
+def _rules_by_name(g: Grammar) -> list:
+    """Every nonterminal as (name, rules by name and in order, labels)."""
+
+    def show(symbol):
+        return symbol.name if type(symbol) is Nonterminal else repr(symbol)
+
+    return sorted(
+        (
+            nt.name,
+            [tuple(show(s) for s in rhs) for rhs in rules],
+            sorted(g.labels.get(nt, ())),
         )
-        if decided:
-            assert exact_empty
-        # and the public entry point agrees with the exact answer
-        assert intersection_is_empty(g, g.start, dfa) == exact_empty
+        for nt, rules in g.productions.items()
+    )
+
+
+class TestIntersectReference:
+    @given(intersect_case(), st.sampled_from(DFAS))
+    @settings(max_examples=100, deadline=None)
+    def test_reachable_only_matches_eager(self, g, dfa):
+        """Building only the triples reachable from an accepting start
+        pair keeps every kept triple's name, labels and rules, for the
+        scope start and every other root."""
+        for root in list(g.productions):
+            fast, fast_start = intersect(g, root, dfa)
+            slow, slow_start = ref.ref_intersect(g, root, dfa)
+            assert fast_start.name == slow_start.name
+            assert _rules_by_name(fast) == _rules_by_name(slow)
+            assert fast.sample_strings(fast_start, limit=1) == slow.sample_strings(
+                slow_start, limit=1
+            )
+            assert intersection_is_empty(g, root, dfa) == (
+                not slow.productions.get(slow_start)
+            )
 
 
 # -- one pair table per (scope, automaton) vs. one per root -------------------

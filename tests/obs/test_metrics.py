@@ -157,33 +157,35 @@ class TestDiffAndMerge:
 
 
 class TestDerivedViews:
-    def test_cache_rates_cover_prefilter_and_image_replays(self):
+    def test_cache_rates_cover_verdict_memo_and_image_replays(self):
         counters = {
-            "prefilter.hits": 30,
-            "prefilter.misses": 10,
+            "policy.verdict_cache.hits": 30,
+            "policy.verdict_cache.misses": 10,
             "image.cache.hits": 8,
             "image.cache.misses": 2,
             "image.cache.replays": 123,
         }
         rows = {label: (hits, misses, rate, extras)
                 for label, hits, misses, rate, extras in cache_rates(counters)}
-        assert rows["prefilter"][2] == pytest.approx(0.75)
+        assert rows["verdict memo"][2] == pytest.approx(0.75)
         assert rows["image cache"][2] == pytest.approx(0.8)
         assert rows["image cache"][3] == {"image.cache.replays": 123}
 
     def test_idle_caches_are_omitted(self):
-        assert cache_rates({"prefilter.hits": 0, "prefilter.misses": 0}) == []
+        assert cache_rates(
+            {"policy.verdict_cache.hits": 0, "policy.verdict_cache.misses": 0}
+        ) == []
 
     def test_render_table_shows_histograms_and_cache_effectiveness(self):
         registry = MetricsRegistry()
-        registry.incr("prefilter.hits", 3)
-        registry.incr("prefilter.misses", 1)
+        registry.incr("policy.verdict_cache.hits", 3)
+        registry.incr("policy.verdict_cache.misses", 1)
         registry.incr("image.cache.hits", 1)
         registry.incr("image.cache.misses", 1)
         registry.incr("image.cache.replays", 42)
         registry.observe("lookup_seconds", 0.002)
         table = render_table(registry.snapshot())
         assert "cache effectiveness:" in table
-        assert "prefilter" in table and "75.0% hit" in table
+        assert "verdict memo" in table and "75.0% hit" in table
         assert "replays=42" in table
         assert "histograms" in table and "lookup_seconds" in table

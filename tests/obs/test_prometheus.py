@@ -9,8 +9,8 @@ def _registry():
     registry.incr("pages.analyzed", 7)
     registry.incr("server.requests.analyze", 3)
     registry.incr("server.requests.ping", 1)
-    registry.incr("prefilter.hits", 9)
-    registry.incr("prefilter.misses", 1)
+    registry.incr("policy.verdict_cache.hits", 9)
+    registry.incr("policy.verdict_cache.misses", 1)
     registry.add_time("phase2.checks", 1.25)
     registry.gauge("image.cache.size", 12)
     registry.observe("server.request_seconds", 0.003)
@@ -52,7 +52,8 @@ class TestExposition:
 
     def test_cache_hit_ratio_gauges_are_derived(self):
         text = render_prometheus(_registry().snapshot())
-        assert 'sqlciv_cache_hit_ratio{cache="prefilter"} 0.9' in text
+        assert 'sqlciv_cache_hit_ratio{cache="verdict_memo"} 0.9' in text
+        assert 'cache="prefilter"' not in text
 
     def test_extra_gauges_are_current_values(self):
         text = render_prometheus(

@@ -6,6 +6,9 @@
   ``addslashes``) is caught as a membership divergence and minimized to
   a small reproducer;
 * the fuzz corpus is byte-identical across runs with the same seed;
+* a page's concrete executions run on the analysis's own parsed trees,
+  so each file is parsed once per page, and an edited file is never
+  served its old tree;
 * the concrete registry covers every abstractly-modeled builtin, so the
   two sides cannot drift silently.
 """
@@ -17,9 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import stringtaint
 from repro.corpus.generator import generate_fuzz_page
-from repro.oracle import InputVector, diff_page
+from repro.oracle import InputVector, diff_page, interp
+from repro.oracle.differ import PageOracle
 from repro.oracle.fuzz import minimize_page, minimize_vector, sample_vector
+from repro.oracle.interp import execute_page
 from repro.php import builtins
 
 SEEDS = sorted(
@@ -165,6 +171,58 @@ class TestDeterminism:
         first = [sample_vector(random.Random(7)).as_dict() for _ in range(5)]
         second = [sample_vector(random.Random(7)).as_dict() for _ in range(5)]
         assert first == second
+
+
+class TestOneParsePerPage:
+    @pytest.fixture()
+    def parse_calls(self, monkeypatch):
+        """Paths handed to the analysis's and the interpreter's parser."""
+        calls: dict[str, list[str]] = {"analysis": [], "interp": []}
+        for side, module in (("analysis", stringtaint), ("interp", interp)):
+            real = module.parse
+
+            def counted(source, path, *args, _side=side, _real=real, **kwargs):
+                calls[_side].append(path)
+                return _real(source, path, *args, **kwargs)
+
+            monkeypatch.setattr(module, "parse", counted)
+        return calls
+
+    @pytest.fixture()
+    def page(self, tmp_path):
+        rng = random.Random(20_261_017)
+        entry = generate_fuzz_page(tmp_path, rng)
+        return tmp_path, entry, [sample_vector(rng) for _ in range(4)]
+
+    def test_analysis_trees_serve_every_execution(self, page, parse_calls):
+        root, entry, vectors = page
+        oracle = PageOracle(root, entry)
+        shared = [
+            execute_page(root, entry, vector, trees=oracle.result.trees)
+            for vector in vectors
+        ]
+        files = parse_calls["analysis"]
+        assert len(files) == len(set(files)) == len(oracle.result.trees) >= 2
+        assert parse_calls["interp"] == []
+        # the same hits as executions that parse the page themselves
+        assert shared == [execute_page(root, entry, v) for v in vectors]
+        assert any(shared), "page reaches no sink"
+
+    def test_edited_file_is_not_served_a_stale_tree(self, page, parse_calls):
+        root, entry, vectors = page
+        PageOracle(root, entry)
+        page_path = root / entry
+        lines = page_path.read_text().splitlines()
+        lines.insert(1, 'mysql_query("SELECT \'edited\'");')
+        page_path.write_text("\n".join(lines) + "\n")
+        stats: dict = {}
+        assert diff_page(root, entry, vectors, stats=stats) == []
+        # diff_page analyzed the edited files and executed on their trees
+        assert parse_calls["analysis"].count(str(page_path)) == 2
+        assert parse_calls["interp"] == []
+        assert stats["hits"] > 0
+        hits = execute_page(root, entry, vectors[0])
+        assert hits[0].query == "SELECT 'edited'"
 
 
 def test_every_abstract_model_has_a_concrete_counterpart():

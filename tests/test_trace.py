@@ -98,14 +98,14 @@ class TestRecorder:
             PERF.incr("parse.files", 3)
             with recorder.phase("parse"):
                 PERF.incr("parse.files")
-            with recorder.phase("prefilter"):
-                PERF.incr("prefilter.calls")
+            with recorder.phase("verdict-memo"):
+                PERF.incr("policy.verdict_cache.hits")
         payload = capture.payload()
         assert payload["perf"]["counters"]["parse.files"] == 4
-        parse, prefilter = payload["spans"]
+        parse, memo = payload["spans"]
         assert parse["perf"]["counters"] == {"parse.files": 1}
         # deltas only on the spans the trace view renders
-        assert "perf" not in prefilter
+        assert "perf" not in memo
 
     def test_no_perf_deltas_without_trace(self):
         recorder = TimelineRecorder()
@@ -125,7 +125,7 @@ class TestRecorder:
                     with recorder.phase("cascade:sql"):
                         with recorder.phase("image"):
                             pass
-                    with recorder.phase("prefilter"):
+                    with recorder.phase("verdict-memo"):
                         pass
         spans = spans_of(render_run([capture.payload()]))
         by_name = {s["name"]: s for s in spans}

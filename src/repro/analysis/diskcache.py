@@ -37,7 +37,10 @@ log = logging.getLogger(__name__)
 #: (on-disk ASTs / page reports keyed by content hash + this version).
 #: "7": tokens and AST nodes carry byte spans for the remediation
 #: engine — older span-less pickles must not be replayed.
-ANALYZER_CACHE_VERSION = "7"
+#: "8": ``query_samples`` are the shortest strings of L(query), not the
+#: first a breadth-first walk completes — stored page results and
+#: verdict entries must not replay the old samples.
+ANALYZER_CACHE_VERSION = "8"
 
 #: extensions the include resolver scans — part of the project state
 RESOLVER_EXTENSIONS = (".php", ".inc", ".html", ".tpl")

@@ -78,7 +78,7 @@ class SinkPolicy:
         """Per-hotspot driver mirroring the SQL cascade's shape: sample
         the sink string, check every maximal labeled nonterminal, and
         collapse automaton-state-split duplicates."""
-        report.query_samples = scope.sample_strings(root, limit=3, shared=True)
+        report.query_samples = scope.shortest_strings(root, limit=3)
         maximal = maximal_labeled(scope, root)
         findings: list[tuple[object, Finding]] = []
         for labeled in maximal:

@@ -185,7 +185,7 @@ def _run_cascade(
     """The uncached cascade; fills ``report`` and returns, parallel to
     ``report.findings``, the labeled nonterminal each finding is about."""
     PERF.incr("policy.check_cascades")
-    report.query_samples = scope.sample_strings(root, limit=3, shared=True)
+    report.query_samples = scope.shortest_strings(root, limit=3)
     maximal = maximal_labeled(scope, root)
     findings: list[tuple[Nonterminal, Finding]] = []
     for labeled in maximal:
@@ -539,7 +539,7 @@ def _example_query(
     """A full query string with the witness substring spliced into one of
     its contexts — the "here is the attack" line of the bug report."""
     context = _contexts_grammar(scope, root, labeled, others)
-    samples = context.sample_strings(root, limit=6, max_len=300, shared=True)
+    samples = context.sample_strings(root, limit=6, max_len=300)
     for sample in samples:
         if quotes.MARKER in sample:
             return sample.replace(quotes.MARKER, witness).replace(NEUTRAL, "data")

@@ -251,7 +251,14 @@ class StringTaintAnalysis:
         ast_key = DiskCache.ast_key(data, str(path))
         if self.disk_cache is not None:
             entry = self.disk_cache.load("ast", ast_key)
-            if entry is not None:
+            # a readable pickle of anything but a (tree, error) pair is
+            # as damaged as a truncated one: re-parse and overwrite it
+            if (
+                type(entry) is tuple
+                and len(entry) == 2
+                and isinstance(entry[0], (ast.File, type(None)))
+                and isinstance(entry[1], (str, type(None)))
+            ):
                 TIMELINE.annotate("cache", "disk")
                 return entry
         TIMELINE.annotate("cache", "miss")

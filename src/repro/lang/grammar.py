@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import heapq
 import itertools
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -90,13 +91,8 @@ class Nonterminal:
 Symbol = Lit | CharSet | Nonterminal
 Rhs = tuple[Symbol, ...]
 
-#: Process-wide sample-string memo shared across Grammar instances,
-#: keyed on (shape fingerprint, root position, limit, max_len).  Safe
-#: because samples are plain strings (no nonterminal names leak) and the
-#: sampling BFS depends only on what the shape fingerprint covers.
-_SHARED_SAMPLES: dict[tuple[str, int, int, int], list[str]] = {}
-
-#: Steps (queue pops) one :meth:`Grammar.sample_strings` walk may take.
+#: Pops one :meth:`Grammar.sample_strings` walk or one
+#: :meth:`Grammar.shortest_strings` search may take.
 _SAMPLE_STEPS = 20000
 
 
@@ -610,40 +606,22 @@ class Grammar:
         root: Nonterminal,
         limit: int = 20,
         max_len: int = 200,
-        *,
-        shared: bool = False,
     ) -> list[str]:
-        """Up to ``limit`` distinct strings of L(root), shortest-ish first.
+        """Up to ``limit`` distinct strings of L(root), in the order a
+        breadth-first walk over sentential forms completes them.
 
-        Breadth-first expansion of sentential forms; charset symbols
-        contribute their sample character (plus ``'`` if present, since
-        quotes are what the analyses care about).
-
-        ``shared=True`` additionally consults a process-wide memo keyed
-        on the shape fingerprint.  Only pass it for grammars that are no
-        longer mutated (policy scope subgrammars): fingerprinting a
-        still-growing grammar re-hashes everything on every call.
+        Strings come out by derivation depth, not by length: a deep but
+        short string can follow a shallow long one, and a walk cut by
+        the step budget or the 40-symbol form cap can miss short
+        strings altogether (:meth:`shortest_strings` has neither flaw).
+        Charset symbols contribute their sample character (plus ``'``
+        and ``-`` if present, since quotes and comment dashes are what
+        the analyses care about).
         """
         memo_key = ("samples", root, limit, max_len)
         cached = self._memo_get(memo_key)
         if cached is not None:
             return list(cached)
-        shared_key = None
-        if shared:
-            # Cross-grammar memo: the sampled strings contain no
-            # nonterminal names, and the BFS below is fully determined
-            # by production insertion order + rule content — exactly
-            # what shape_fingerprint() pins.  Policy cascades rebuild
-            # identical scope subgrammars per namespace; this collapses
-            # those repeats.
-            position = next(
-                (i for i, nt in enumerate(self.productions) if nt is root), -1
-            )
-            shared_key = (self.shape_fingerprint(), position, limit, max_len)
-            hit = _SHARED_SAMPLES.get(shared_key)
-            if hit is not None:
-                self._memo_set(memo_key, hit)
-                return list(hit)
         results: list[str] = []
         seen_forms: set[tuple] = set()
         seen_add = seen_forms.add
@@ -724,10 +702,97 @@ class Grammar:
         if cut:
             PERF.incr("samples.budget_cuts")
         self._memo_set(memo_key, results)
-        if shared_key is not None:
-            if len(_SHARED_SAMPLES) > 4096:
-                _SHARED_SAMPLES.clear()
-            _SHARED_SAMPLES[shared_key] = results
+        return list(results)
+
+    def shortest_strings(self, root: Nonterminal, limit: int) -> list[str]:
+        """Up to ``limit`` distinct strings of L(root), shortest first.
+
+        Best-first search over leftmost sentential forms, in the spirit
+        of Knuth's shortest derivations (IPL 1977).  A form is a
+        terminal prefix plus the symbols still to expand; its priority
+        is the prefix length plus the :meth:`_min_lengths` of those
+        symbols, i.e. the length of its shortest completion, and ties
+        pop in insertion order.  Expanding the leftmost symbol never
+        lowers the priority, so completed strings pop in non-decreasing
+        length.  Charset symbols take the same choices as
+        :meth:`sample_strings`; rules with an empty-language symbol are
+        never expanded, so an empty language costs no search at all.
+
+        Forms with more than 40 symbols left to expand are dropped:
+        without that cap nullable recursion (``A → A B | ε``) spawns
+        equal-priority forms forever.  A search that takes
+        ``_SAMPLE_STEPS`` pops without ``limit`` strings stops there
+        and counts ``samples.budget_cuts``, like the breadth-first walk.
+        """
+        memo_key = ("shortest", root, limit)
+        cached = self._memo_get(memo_key)
+        if cached is not None:
+            return list(cached)
+        lengths = self._min_lengths(root)
+        results: list[str] = []
+        # per nonterminal: its productive rules as (symbols with
+        # literals as plain str, shortest-completion cost)
+        expansions: dict[Nonterminal, list[tuple[tuple, int]]] = {}
+        choices: dict[CharSet, tuple[str, ...]] = {}
+        productions = self.productions
+        heap: list[tuple[int, int, str, tuple]] = (
+            [(lengths[root], 0, "", (root,))] if root in lengths else []
+        )
+        seen: set[tuple[str, tuple]] = {("", (root,))}
+        counter = 1
+        pops = 0
+        while heap and len(results) < limit:
+            if pops == _SAMPLE_STEPS:
+                PERF.incr("samples.budget_cuts")
+                break
+            pops += 1
+            priority, _, prefix, rest = heapq.heappop(heap)
+            if not rest:
+                # (prefix, ()) is deduplicated like every form
+                results.append(prefix)
+                continue
+            symbol = rest[0]
+            tail = rest[1:]
+            if type(symbol) is CharSet:
+                picks = choices.get(symbol)
+                if picks is None:
+                    picks = {symbol.sample_char()}
+                    if "'" in symbol:
+                        picks.add("'")
+                    if "-" in symbol:
+                        picks.add("-")
+                    # sorted: set order over strings depends on the hash seed
+                    picks = choices[symbol] = tuple(sorted(picks))
+                children = [(priority, prefix + char, tail) for char in picks]
+            else:
+                rules = expansions.get(symbol)
+                if rules is None:
+                    rules = expansions[symbol] = _cost_rules(
+                        productions.get(symbol, ()), lengths
+                    )
+                base = priority - lengths[symbol]
+                children = [(base + cost, prefix, body + tail) for body, cost in rules]
+            for child_priority, child_prefix, child_rest in children:
+                # move leading literals into the prefix: the form's key
+                # then names its terminal text once, however derived
+                i = 0
+                n = len(child_rest)
+                while i < n and type(child_rest[i]) is str:
+                    i += 1
+                if i:
+                    child_prefix += "".join(child_rest[:i])
+                    child_rest = child_rest[i:]
+                if n - i > 40:
+                    continue
+                key = (child_prefix, child_rest)
+                if key in seen:
+                    continue
+                seen.add(key)
+                heapq.heappush(
+                    heap, (child_priority, counter, child_prefix, child_rest)
+                )
+                counter += 1
+        self._memo_set(memo_key, results)
         return list(results)
 
     def enumerate_finite(
@@ -808,35 +873,51 @@ class Grammar:
         """Shortest derivable string length per reachable nonterminal.
 
         Nonterminals with an empty language (unproductive, or undefined
-        references) are absent from the result.
+        references) are absent from the result.  Memoized per root; the
+        returned dict is shared, so callers must not mutate it.
         """
-        reach = self.reachable(root)
-        lengths: dict[Nonterminal, int] = {}
-        changed = True
-        while changed:
-            changed = False
-            for nt in reach:
-                best = lengths.get(nt)
-                for rhs in self.productions.get(nt, ()):
-                    total = 0
-                    for symbol in rhs:
-                        if isinstance(symbol, Lit):
-                            total += len(symbol.text)
-                        elif isinstance(symbol, CharSet):
-                            if symbol.size() == 0:
-                                break
-                            total += 1
-                        else:
-                            ref = lengths.get(symbol)
-                            if ref is None:
-                                break
-                            total += ref
+        cached = self._memo_get(("minlen", root))
+        if cached is not None:
+            return cached
+        # Knuth's generalization of Dijkstra (IPL 1977): a rule's length
+        # is known once its last nonterminal's is, and the shortest
+        # pending lhs length is final when popped
+        heap: list[tuple[int, Nonterminal]] = []
+        waiting: dict[Nonterminal, list[list]] = {}
+        for nt in self.reachable(root):
+            for rhs in self.productions.get(nt, ()):
+                total = 0
+                refs = []
+                for symbol in rhs:
+                    if type(symbol) is Lit:
+                        total += len(symbol.text)
+                    elif type(symbol) is CharSet:
+                        if symbol.size() == 0:
+                            break
+                        total += 1
                     else:
-                        if best is None or total < best:
-                            best = total
-                if best is not None and lengths.get(nt) != best:
-                    lengths[nt] = best
-                    changed = True
+                        refs.append(symbol)
+                else:
+                    if not refs:
+                        heap.append((total, nt))
+                        continue
+                    # [lhs, nonterminal occurrences still unknown, length so far]
+                    cell = [nt, len(refs), total]
+                    for ref in refs:
+                        waiting.setdefault(ref, []).append(cell)
+        heapq.heapify(heap)
+        lengths: dict[Nonterminal, int] = {}
+        while heap:
+            length, nt = heapq.heappop(heap)
+            if nt in lengths:
+                continue
+            lengths[nt] = length
+            for cell in waiting.pop(nt, ()):
+                cell[1] -= 1
+                cell[2] += length
+                if cell[1] == 0 and cell[0] not in lengths:
+                    heapq.heappush(heap, (cell[2], cell[0]))
+        self._memo_set(("minlen", root), lengths)
         return lengths
 
     def _forced_affix(self, root: Nonterminal, *, reverse: bool) -> str:
@@ -938,6 +1019,37 @@ class Grammar:
         if len(order) > limit:
             lines.append(f"… ({len(order) - limit} more nonterminals)")
         return "\n".join(lines)
+
+
+def _cost_rules(
+    rules: Iterable[Rhs], lengths: dict[Nonterminal, int]
+) -> list[tuple[tuple, int]]:
+    """``rules`` as :meth:`Grammar.shortest_strings` expands them: each
+    productive rule with its literals as plain ``str`` and the length of
+    its shortest derivation; rules with an empty-language symbol are
+    dropped."""
+    out = []
+    for rhs in rules:
+        cost = 0
+        body = []
+        for symbol in rhs:
+            if type(symbol) is Lit:
+                cost += len(symbol.text)
+                body.append(symbol.text)
+                continue
+            if type(symbol) is CharSet:
+                if symbol.size() == 0:
+                    break
+                cost += 1
+            else:
+                ref = lengths.get(symbol)
+                if ref is None:
+                    break
+                cost += ref
+            body.append(symbol)
+        else:
+            out.append((tuple(body), cost))
+    return out
 
 
 # Module-level recursion for the Grammar helpers above: a nested

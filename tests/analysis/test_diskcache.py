@@ -2,10 +2,14 @@
 used entries (by refreshed atime) and never changes cached semantics."""
 
 import os
+import pickle
 import time
 from pathlib import Path
 
+import pytest
 
+from repro.analysis.analyzer import PageResult
+from repro.corpus import build_app
 from repro.obs.metrics import PERF
 from repro.analysis.diskcache import DiskCache
 
@@ -132,3 +136,46 @@ class TestCliFlag:
         capped_out = capsys.readouterr().out
         assert capped == uncapped
         assert capped_out == plain
+
+
+class TestDamagedEntries:
+    """Truncated or wrong-typed pickles in ``page/`` and ``ast/`` are
+    misses: the document equals a run without any cache, byte for byte."""
+
+    @staticmethod
+    def run(capsys, app, *extra):
+        from repro.analysis.cli import main
+
+        code = main([str(app), "--json", "--audit", *extra])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["page", "ast"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "empty", "int", "dict", "pair-of-str"]
+    )
+    def test_damaged_entry_reads_as_a_miss(self, tmp_path, capsys, kind, damage):
+        build_app(tmp_path, "eve_activity_tracker")
+        app = tmp_path / "eve_activity_tracker"
+        cache = tmp_path / "cache"
+        plain = self.run(capsys, app)
+        assert self.run(capsys, app, "--cache-dir", str(cache)) == plain
+        entries = sorted((cache / kind).glob("*.pkl"))
+        assert entries
+        for path in entries:
+            data = path.read_bytes()
+            if damage == "truncated":
+                path.write_bytes(data[: len(data) // 2])
+            elif damage == "empty":
+                path.write_bytes(b"")
+            else:
+                wrong = {"int": 7, "dict": {"page": "x"}, "pair-of-str": ("x", "y")}
+                path.write_bytes(pickle.dumps(wrong[damage]))
+        if kind == "ast":
+            # whole-page hits would never read the trees
+            for path in (cache / "page").glob("*.pkl"):
+                path.unlink()
+        assert self.run(capsys, app, "--cache-dir", str(cache)) == plain
+        # the damaged entries were overwritten with good ones
+        good = PageResult if kind == "page" else tuple
+        for path in entries:
+            assert isinstance(pickle.loads(path.read_bytes()), good)

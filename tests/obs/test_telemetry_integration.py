@@ -193,5 +193,7 @@ class TestWorkCutCounters:
             # warp's listing pages share two context forms
             assert first["policy.context_forms.misses"] == 2
             assert first["policy.context_forms.hits"] > 0
-            assert first["samples.budget_cuts"] > 0
+            # the report samples come from the shortest-first search,
+            # which finds its three strings well inside the pop budget
+            assert first["samples.budget_cuts"] == 0
             assert "sql context forms" in table

@@ -23,6 +23,13 @@ the best of ``--reps`` fresh processes, against ``fuzz_page_cpu_seconds``
 at the same tolerance.  ``--fuzz --update`` re-calibrates that budget
 only.
 
+``--startup`` gates what every process pays before and after its
+analysis: the median CPU (user + system) of ``sqlciv --help`` and of an
+e107 run served entirely from a warm ``--cache-dir``, each of ``--reps``
+fresh processes, against ``startup_cpu_seconds`` at the same tolerance.
+``--startup --update --reps 5`` re-calibrates those budgets only, at the
+best of the reps times the headroom factor.
+
 Budgets are calibrated on the reference machine with deliberate
 headroom over the measured walls (see the ``calibration`` block in
 ``budgets.json``), so ordinary CI-runner jitter stays well inside the
@@ -39,6 +46,7 @@ Usage::
     python benchmarks/bench_gate.py [--tolerance 0.25] [--reps 3] [--update]
     python benchmarks/bench_gate.py --parallel [--reps 3]
     python benchmarks/bench_gate.py --fuzz [--reps 3] [--update]
+    python benchmarks/bench_gate.py --startup [--reps 5] [--update]
 """
 
 from __future__ import annotations
@@ -237,6 +245,95 @@ def gate_fuzz(budgets: dict, reps: int, tolerance: float, update: bool) -> int:
     return 0
 
 
+#: the corpus app whose warm run ``--startup`` times
+STARTUP_APP = "e107"
+
+
+def process_cpu(command: list[str], env: dict) -> float:
+    """CPU seconds (user + system, reaped children included) of one
+    fresh process running ``command``; it must exit 0, 1 or 3."""
+    proc = subprocess.Popen(
+        command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code not in (0, 1, 3):
+        raise RuntimeError(f"{command} exited {code}")
+    return usage.ru_utime + usage.ru_stime
+
+
+def measure_startup(reps: int) -> dict[str, list[float]]:
+    """``reps`` CPU samples each of ``sqlciv --help`` and of a warm
+    :data:`STARTUP_APP` run, alternating, after one untimed cold run
+    that fills the cache (and writes the bytecode, where allowed)."""
+    from repro.corpus import build_app
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    cli = [sys.executable, "-m", "repro.analysis.cli"]
+    samples: dict[str, list[float]] = {"help": [], "warm_run": []}
+    with tempfile.TemporaryDirectory(prefix="benchgate-startup-") as tmp:
+        build_app(Path(tmp), STARTUP_APP)
+        warm = cli + [
+            str(Path(tmp) / STARTUP_APP), "--json", "--audit", "--jobs", "1",
+            "--cache-dir", str(Path(tmp) / "cache"),
+        ]
+        process_cpu(warm, env)
+        for _ in range(reps):
+            samples["help"].append(process_cpu(cli + ["--help"], env))
+            samples["warm_run"].append(process_cpu(warm, env))
+    return samples
+
+
+def gate_startup(budgets: dict, reps: int, tolerance: float, update: bool) -> int:
+    """Fail when start-up costs more CPU than its budget."""
+    print(
+        f"measuring sqlciv --help and a warm {STARTUP_APP} run "
+        f"({reps} fresh processes each) ...",
+        flush=True,
+    )
+    samples = measure_startup(reps)
+    if update:
+        calibration = budgets.setdefault("calibration", {})
+        headroom = calibration.get("headroom_factor", 1.4)
+        budgets["startup_cpu_seconds"] = {
+            name: round(min(cpu) * headroom, 3) for name, cpu in samples.items()
+        }
+        calibration["startup"] = {
+            "measured_best_cpu_seconds": {
+                name: round(min(cpu), 3) for name, cpu in samples.items()
+            },
+            "app": STARTUP_APP,
+            "best_of": reps,
+            "machine": machine_description(),
+        }
+        BUDGETS_PATH.write_text(json.dumps(budgets, indent=2) + "\n")
+        print(f"recalibrated the start-up budgets in {BUDGETS_PATH}")
+        return 0
+    failures = []
+    for name, budget in budgets["startup_cpu_seconds"].items():
+        median = statistics.median(samples[name])
+        limit = budget * (1.0 + tolerance)
+        verdict = "ok" if median <= limit else "FAIL"
+        print(
+            f"  {name}: median {median * 1000:.0f} ms CPU  (budget "
+            f"{budget * 1000:.0f} ms, limit {limit * 1000:.0f} ms)  {verdict}"
+        )
+        if median > limit:
+            failures.append(name)
+    if failures:
+        print(
+            f"\nstart-up gate FAILED: {', '.join(failures)} over budget. "
+            "If this regression is intentional, re-calibrate with "
+            "`python benchmarks/bench_gate.py --startup --update --reps 5`.",
+            file=sys.stderr,
+        )
+        return 1
+    print("start-up gate passed")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -265,6 +362,13 @@ def main(argv: list[str] | None = None) -> int:
             "(fuzz_page_cpu_seconds in budgets.json) instead"
         ),
     )
+    parser.add_argument(
+        "--startup", action="store_true",
+        help=(
+            "gate the median CPU of `sqlciv --help` and of a warm e107 run "
+            "(startup_cpu_seconds in budgets.json) instead"
+        ),
+    )
     args = parser.parse_args(argv)
 
     budgets = json.loads(BUDGETS_PATH.read_text())
@@ -276,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.fuzz:
         return gate_fuzz(budgets, args.reps, tolerance, args.update)
+    if args.startup:
+        return gate_startup(budgets, args.reps, tolerance, args.update)
     headroom = budgets.get("calibration", {}).get("headroom_factor", 1.4)
 
     measured: dict[str, float] = {}

@@ -22,21 +22,56 @@ corpus near-instant.
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
-from repro.php.includes import IncludeResolver
 
 from .audit import AuditReport, AuditTrail, audit_page
 from .diskcache import DiskCache, project_state_hash
-from .policy import check_hotspot
 from .reports import HotspotReport, ProjectReport
-from .stringtaint import StringTaintAnalysis
+
+if TYPE_CHECKING:
+    from repro.php.includes import IncludeResolver
+
+    from .stringtaint import StringTaintAnalysis
+
+#: The page-analysis stack: phase 1 (and through it the PHP front end
+#: and the language kernels), phase 2 and the audit inventory.  Nothing
+#: here is imported at module level, so a run whose every page comes
+#: from the disk cache never loads it (DESIGN §5n).
+ANALYSIS_STACK = (
+    "repro.analysis.stringtaint",
+    "repro.analysis.policy",
+    "repro.php.features",
+)
+
+
+def load_analysis_stack() -> None:
+    """Import :data:`ANALYSIS_STACK` if this process has not yet; the
+    import is recorded as a ``startup`` span where it happens (the first
+    page that misses the disk cache, or the owner of a farm before it
+    forks)."""
+    if all(name in sys.modules for name in ANALYSIS_STACK):
+        return
+    PERF.incr("startup.stack_imports")
+    with TIMELINE.phase("startup"):
+        for name in ANALYSIS_STACK:
+            importlib.import_module(name)
+
+
+def check_hotspot(grammar, spot) -> HotspotReport:
+    """Phase 2 of one SQL hotspot: :func:`repro.analysis.policy.check_hotspot`."""
+    from .policy import check_hotspot as check
+
+    return check(grammar, spot)
 
 
 def _check_spot(grammar, spot, policies) -> HotspotReport:
@@ -53,7 +88,9 @@ def analyze_page(
     project_root: str | Path, entry: str | Path, audit: AuditTrail | None = None
 ) -> tuple[list[HotspotReport], StringTaintAnalysis]:
     """Analyze one top-level page; returns its hotspot reports."""
-    analysis = StringTaintAnalysis(project_root, audit=audit)
+    from . import stringtaint
+
+    analysis = stringtaint.StringTaintAnalysis(project_root, audit=audit)
     result = analysis.analyze_file(entry)
     reports = [check_hotspot(result.grammar, spot) for spot in result.hotspots]
     return reports, analysis
@@ -65,8 +102,10 @@ def audit_entry(project_root: str | Path, entry: str | Path):
     Returns ``(hotspot_reports, analysis_result, audit_report)``; every
     hotspot report is stamped with the page's confidence level.
     """
+    from . import stringtaint
+
     trail = AuditTrail()
-    analysis = StringTaintAnalysis(project_root, audit=trail)
+    analysis = stringtaint.StringTaintAnalysis(project_root, audit=trail)
     result = analysis.analyze_file(entry)
     reports = [check_hotspot(result.grammar, spot) for spot in result.hotspots]
     page_audit = audit_page(result)
@@ -223,9 +262,11 @@ def _analyze_one_page(
     policies=None,
 ) -> PageResult:
     """The two-phase analysis of a single entry page."""
+    from . import stringtaint
+
     started = time.perf_counter()
     trail = AuditTrail() if audit else None
-    analysis = StringTaintAnalysis(
+    analysis = stringtaint.StringTaintAnalysis(
         project_root,
         parse_cache=parse_cache,
         resolver=resolver,
@@ -252,13 +293,17 @@ def _analyze_one_page(
     with PERF.timer("phase2.checks"), TIMELINE.phase(
         "phase2", hotspots=len(result.hotspots)
     ):
+        grammar = result.grammar
         for spot in result.hotspots:
-            scope = result.grammar.subgrammar(spot.query.nt)
-            nonterminals += len(scope.productions)
-            scope_productions = scope.num_productions()
+            # the hotspot subgrammar's size, counted in place
+            scope = grammar.reachable(spot.query.nt)
+            nonterminals += len(scope)
+            scope_productions = sum(
+                len(grammar.productions.get(nt, ())) for nt in scope
+            )
             productions += scope_productions
             PERF.gauge("grammar.hotspot_productions.max", scope_productions)
-            reports.append(_check_spot(result.grammar, spot, policies))
+            reports.append(_check_spot(grammar, spot, policies))
     check_seconds = time.perf_counter() - started
 
     page_audit = None
@@ -342,7 +387,10 @@ def _page_result_inner(
             cached.perf = None
             capture.set("from_cache", True)
             return cached
+    load_analysis_stack()
     if resolver is None:
+        from repro.php.includes import IncludeResolver
+
         resolver = IncludeResolver(project_root)
     result = _analyze_one_page(
         project_root, page, audit, parse_cache, resolver, disk_cache,
@@ -356,18 +404,28 @@ def _page_result_inner(
 # -- parallel workers ---------------------------------------------------------
 
 
+#: Policy digests whose automata this process has already built.
+_WARMED: set[str] = set()
+
+
 def _warm_worker_caches(policies) -> None:
     """Pre-build the policy automata a worker will need (warm start).
 
     Without this, the first page each worker analyzes pays the cold
-    NFA→determinize→minimize cost for every danger automaton — once per
-    worker process, since none of the ``lru_cache`` tables travel across
-    ``fork``/``spawn``.  All constructors are process-cached, so warming
-    is idempotent and costs nothing when the caches are already hot."""
+    NFA→determinize→minimize cost for every danger automaton.  The owner
+    of a farm calls it once before the workers fork, so they inherit the
+    ``lru_cache`` tables; a worker started any other way (the daemon's
+    farm, ``spawn``) builds its own on its first task.  Runs once per
+    process and policy config."""
+    digest = policies.digest() if policies is not None else ""
+    if digest in _WARMED:
+        return
+    _WARMED.add(digest)
+    PERF.incr("startup.warm_ups")
     from . import quotes
     from .policies import policy_instance
 
-    with PERF.timer("worker.warm_start"):
+    with PERF.timer("worker.warm_start"), TIMELINE.phase("startup"):
         # the SQL confinement cascade (the default when no policy config
         # is given) draws on the quotes automata
         quotes.odd_unescaped_quotes()
@@ -457,6 +515,8 @@ def run_pages(
         if parse_cache is None:
             parse_cache = {}
         if resolver is None:
+            from repro.php.includes import IncludeResolver
+
             resolver = IncludeResolver(root)
         return [
             _page_result(
@@ -469,6 +529,10 @@ def run_pages(
 
     owned = None
     if farm is None:
+        # workers fork from here: load the stack and build the automata
+        # once, so no worker imports or warms up on its own
+        load_analysis_stack()
+        _warm_worker_caches(policies)
         owned = farm = AnalysisFarm(jobs)
     try:
         with PERF.timer("parallel.fanout"):

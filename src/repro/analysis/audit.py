@@ -31,10 +31,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.php import features
-from repro.php.features import ESCAPED, MODELED, WIDENED
-
-from .reports import SOUND, SOUND_MODULO_WIDENING, UNSOUND_CAVEATS
+from .reports import (
+    ESCAPED,
+    MODELED,
+    SOUND,
+    SOUND_MODULO_WIDENING,
+    UNSOUND_CAVEATS,
+    WIDENED,
+)
 
 #: diagnostic severities: escapes void the soundness argument locally,
 #: widenings only cost precision
@@ -50,7 +54,7 @@ class Diagnostic:
 
     kind: str            # feature kind, or "widening" / "recursion" /
                          # "parse-error"
-    classification: str  # features.WIDENED | features.ESCAPED
+    classification: str  # WIDENED | ESCAPED
     severity: str        # SEVERITY_WARNING | SEVERITY_INFO
     file: str
     line: int
@@ -185,7 +189,8 @@ class AuditReport:
         }
 
 
-def _feature_diagnostic(feat: features.Feature) -> Diagnostic:
+def _feature_diagnostic(feat) -> Diagnostic:
+    """The diagnostic for one :class:`repro.php.features.Feature`."""
     severity = SEVERITY_WARNING if feat.classification == ESCAPED else SEVERITY_INFO
     return Diagnostic(
         kind=feat.kind,
@@ -230,6 +235,10 @@ def audit_page(result) -> AuditReport:
     attached (``result.audit_trail``); ``result.trees`` holds the parsed
     include closure.
     """
+    # the static inventory needs the PHP front end, which a run served
+    # entirely from the disk cache never loads (DESIGN §5n)
+    from repro.php import features
+
     trail: AuditTrail | None = result.audit_trail
     known = frozenset(result.known_functions)
     report = AuditReport(page=result.page)

@@ -31,10 +31,14 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
+import resource
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.obs import trace
 from repro.obs import timeline as obs_timeline
@@ -44,7 +48,6 @@ from repro.obs.metrics import PERF, render_table
 
 from .analyzer import entry_pages, run_pages
 from .reports import SOUND, UNSOUND_CAVEATS, json_document
-from .sarif import write_sarif
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +64,33 @@ EXIT_USAGE = 2          # argparse's own convention
 EXIT_CAVEATS = 3
 
 
-def main(argv: list[str] | None = None) -> int:
+def _children_cpu_seconds() -> float:
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return children.ru_utime + children.ru_stime
+
+
+class Startup(NamedTuple):
+    """A process's start-up, as :func:`entry` measured it on entering."""
+
+    #: ``perf_counter`` reading at which the start-up's CPU began …
+    start: float
+    #: … and at which :func:`entry` was called
+    end: float
+    #: CPU of reaped children so far (an ``exec`` keeps its caller's)
+    children_cpu: float
+
+    def process_cpu_seconds(self) -> float:
+        """CPU of this process and of the children it reaped since
+        (the workers of a farm it owned)."""
+        return (
+            time.process_time() + _children_cpu_seconds() - self.children_cpu
+        )
+
+
+def main(argv: list[str] | None = None, startup: Startup | None = None) -> int:
+    """The ``sqlciv`` command line.  Only :func:`entry` passes
+    ``startup`` — an in-process call has no start-up of its own; with
+    it, a timeline carries a ``startup`` span and the process CPU."""
     if argv is None:
         argv = sys.argv[1:]
     # server-mode subcommands ride on the same entry point: everything
@@ -238,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         args.profile == "timeline" or bool(args.trace), perf=bool(args.trace)
     )
     GC_PROBE.configure(bool(args.profile))
+    if startup is not None:
+        TIMELINE.add("startup", startup.start, startup.end)
 
     if args.pages:
         pages = [root / page for page in args.pages]
@@ -257,6 +288,38 @@ def main(argv: list[str] | None = None) -> int:
             policies=policies, profile=bool(args.profile),
         )
 
+    with TIMELINE.phase("report"):
+        any_violation, any_escape = _report(args, root, results, policies)
+
+    if args.profile == "timeline":
+        attrs = {"root": str(root), "jobs": args.jobs}
+        if startup is not None:
+            attrs["process_cpu_seconds"] = round(
+                startup.process_cpu_seconds(), 6
+            )
+        timeline = obs_timeline.assemble(
+            [r.timeline for r in results], TIMELINE.drain_driver_spans(),
+            attrs=attrs,
+        )
+        obs_timeline.write_timeline(args.timeline_out, timeline)
+        log.info(
+            "timeline written to %s (render with `sqlciv stats %s`)",
+            args.timeline_out, args.timeline_out,
+        )
+    if args.profile:
+        print(render_table(PERF.snapshot()), file=sys.stderr)
+
+    if any_violation:
+        return EXIT_VIOLATIONS
+    if auditing and any_escape:
+        return EXIT_CAVEATS
+    return EXIT_VERIFIED
+
+
+def _report(args, root: Path, results, policies) -> tuple[bool, bool]:
+    """Render the run's documents: the report (or ``--json`` document)
+    on stdout, ``--sarif`` and ``--trace``.  Returns ``(any violation,
+    any soundness escape)``."""
     any_violation = False
     any_escape = False
     if args.json:
@@ -300,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
             print("verified: no SQLCIV reports")
 
     if args.sarif:
+        from .sarif import write_sarif
+
         write_sarif(args.sarif, root, results, policies=policies)
         log.info("SARIF log written to %s", args.sarif)
     if args.trace:
@@ -309,27 +374,30 @@ def main(argv: list[str] | None = None) -> int:
             attrs={"root": str(root), "jobs": args.jobs},
         )
         log.info("trace written to %s", args.trace)
+    return any_violation, any_escape
 
-    if args.profile == "timeline":
-        timeline = obs_timeline.assemble(
-            [r.timeline for r in results],
-            TIMELINE.drain_driver_spans(),
-            attrs={"root": str(root), "jobs": args.jobs},
-        )
-        obs_timeline.write_timeline(args.timeline_out, timeline)
-        log.info(
-            "timeline written to %s (render with `sqlciv stats %s`)",
-            args.timeline_out, args.timeline_out,
-        )
-    if args.profile:
-        print(render_table(PERF.snapshot()), file=sys.stderr)
 
-    if any_violation:
-        return EXIT_VIOLATIONS
-    if auditing and any_escape:
-        return EXIT_CAVEATS
-    return EXIT_VERIFIED
+def entry() -> None:
+    """The ``sqlciv`` process: the console script and ``python -m
+    repro.analysis.cli``.
+
+    Runs :func:`main` with the process's start-up on the timeline, then
+    exits without the interpreter's final collections: every object
+    still alive is moved to the permanent generation (``gc.freeze``), so
+    teardown frees by reference count alone instead of tracing a heap
+    the image memo keeps large.  ``atexit`` handlers and the stdio
+    flushes still run.  The daemon (``serve``) exits the ordinary way
+    (DESIGN §5n)."""
+    entered = time.perf_counter()
+    startup = Startup(
+        entered - time.process_time(), entered, _children_cpu_seconds()
+    )
+    argv = sys.argv[1:]
+    code = main(argv, startup=startup)
+    if not (argv and argv[0] == "serve"):
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

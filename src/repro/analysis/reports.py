@@ -18,6 +18,15 @@ SOUND = "sound"
 SOUND_MODULO_WIDENING = "sound-modulo-widening"
 UNSOUND_CAVEATS = "unsound-caveats"
 
+#: The three audit classifications of a construct: handled exactly,
+#: over-approximated (sound), or outside the model (a soundness hole).
+#: :mod:`repro.php.features` assigns them; they live here so the audit
+#: records that pages pickle can be read without loading the PHP front
+#: end (DESIGN §5n).
+MODELED = "modeled"
+WIDENED = "widened"
+ESCAPED = "escaped"
+
 
 @dataclass
 class Finding:

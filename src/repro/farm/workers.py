@@ -59,9 +59,6 @@ class BatchConfig:
 _PROJECT_ENVS: OrderedDict[tuple, dict] = OrderedDict()
 _PROJECT_ENVS_CAP = 8
 
-#: Policy digests whose automata this process already warmed.
-_WARMED: set[str] = set()
-
 
 def _project_env(config: BatchConfig) -> dict:
     key = (config.root, config.epoch)
@@ -82,13 +79,6 @@ def _project_env(config: BatchConfig) -> dict:
     else:
         _PROJECT_ENVS.move_to_end(key)
     return env
-
-
-def _warm_policies(config: BatchConfig) -> None:
-    digest = config.policies.digest() if config.policies is not None else ""
-    if digest not in _WARMED:
-        _WARMED.add(digest)
-        _warm_worker_caches(config.policies)
 
 
 def _configure_obs(config: BatchConfig) -> None:
@@ -122,7 +112,7 @@ def _execute(task, stolen: bool):
     try:
         _configure_obs(config)
         env = _project_env(config)
-        _warm_policies(config)
+        _warm_worker_caches(config.policies)
         result = _page_result(
             Path(config.root),
             page,

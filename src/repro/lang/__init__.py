@@ -9,21 +9,37 @@
 * :mod:`~repro.lang.image` — CFG image under an FST with taint
 * :mod:`~repro.lang.earley` — sentential-form Earley parsing and
   Definition 3.2 grammar derivability
+
+The names below resolve on first access (PEP 562): importing one
+submodule, as the report classes do with ``grammar``, loads no other.
 """
 
-from .charset import CharSet
-from .fsa import DFA, NFA
-from .fst import FST
-from .grammar import DIRECT, Grammar, INDIRECT, Lit, Nonterminal
+from importlib import import_module
 
-__all__ = [
-    "CharSet",
-    "DFA",
-    "DIRECT",
-    "FST",
-    "Grammar",
-    "INDIRECT",
-    "Lit",
-    "NFA",
-    "Nonterminal",
-]
+#: public name → the submodule that defines it
+_EXPORTS = {
+    "CharSet": "charset",
+    "DFA": "fsa",
+    "DIRECT": "grammar",
+    "FST": "fst",
+    "Grammar": "grammar",
+    "INDIRECT": "grammar",
+    "Lit": "grammar",
+    "NFA": "fsa",
+    "Nonterminal": "grammar",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

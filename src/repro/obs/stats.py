@@ -24,6 +24,15 @@ the run*.  Three accounting notions, kept deliberately distinct:
     amount of extra workers can hide — the report names the phase that
     dominates them, which is the explanation for parallel speedups
     stuck near (or below) 1.0.
+
+**process CPU**
+    a timeline written by a ``sqlciv`` process (not an in-process
+    ``main`` call) records the CPU of the process and its reaped farm
+    workers in ``attrs.process_cpu_seconds``.  The summary then also
+    reports which share of it the attributed spans cover — start-up
+    included, since the driver lane carries a ``startup`` span — so
+    CPU no span explains (worker fork and teardown, idle polling)
+    shows up as the gap.
 """
 
 from __future__ import annotations
@@ -201,7 +210,7 @@ def summarize(timeline: dict) -> dict:
             phase_self.items(), key=lambda item: -item[1]
         )
     }
-    return {
+    summary = {
         "wall_seconds": round(wall, 6),
         "busy_seconds": round(busy, 6),
         "pages": len(pages),
@@ -214,6 +223,11 @@ def summarize(timeline: dict) -> dict:
         "bottleneck": bottleneck,
         "phases": phases,
     }
+    cpu = timeline.get("attrs", {}).get("process_cpu_seconds")
+    if isinstance(cpu, (int, float)) and cpu > 0:
+        summary["process_cpu_seconds"] = cpu
+        summary["cpu_attributed_fraction"] = round(attributed / cpu, 4)
+    return summary
 
 
 def _gantt(timeline: dict) -> list[str]:
@@ -291,6 +305,12 @@ def render_report(timeline: dict) -> str:
         f" time (unattributed slack"
         f" {_fmt_s(summary['unattributed_seconds'])})"
     )
+    if "process_cpu_seconds" in summary:
+        lines.append(
+            f"process CPU: {_fmt_s(summary['process_cpu_seconds'])},"
+            f" {summary['cpu_attributed_fraction'] * 100:.1f}% of it"
+            f" attributed"
+        )
     lines.append(
         f"serial windows (<=1 lane busy):"
         f" {summary['serial_fraction'] * 100:.1f}% of run wall"

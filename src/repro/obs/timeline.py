@@ -13,7 +13,12 @@ phase-2 check cascade), ``image.construct`` /
 serialization for the IPC hop), and ``gc`` (a cyclic collector pause,
 recorded by :mod:`repro.obs.gcprobe`)
 
-— per page, wherever the page actually ran.  Two views render the same
+— per page, wherever the page actually ran.  The driver lane adds
+``scan``, ``project-state-hash``, ``report`` (rendering the run's
+documents) and ``startup``: the process's start-up up to the CLI entry
+(interpreter and imports, from its CPU clock), the deferred import of
+the analysis stack on the first page that misses the disk cache, and a
+farm owner's pre-fork warm-up (DESIGN §5n).  Two views render the same
 captures: :func:`assemble` (``timeline.json``) and
 :func:`repro.obs.trace.render_run` (the ``--trace`` JSONL tree, which
 shows only :data:`TRACE_PHASES`).  Each page's spans travel
@@ -181,6 +186,17 @@ class TimelineRecorder:
             self._spans.append({
                 "phase": name,
                 "parent": self._stack[-1],
+                "start": start,
+                "end": end,
+            })
+
+    def add(self, name: str, start: float, end: float) -> None:
+        """Add a finished top-level span outside any page: one that ended
+        before recording was configured (the process's ``startup``)."""
+        if self.enabled:
+            self._spans.append({
+                "phase": name,
+                "parent": None,
                 "start": start,
                 "end": end,
             })

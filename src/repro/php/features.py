@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis import sources
+from repro.analysis.reports import ESCAPED, MODELED, WIDENED
 
 from . import ast
 from .builtins import (
@@ -38,11 +39,6 @@ from .builtins import (
     literal_str,
     predicate_language,
 )
-
-#: the three audit classifications
-MODELED = "modeled"
-WIDENED = "widened"
-ESCAPED = "escaped"
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ against.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -46,23 +47,28 @@ def _relative(path: str, base: str) -> str | None:
 class IncludeResolver:
     def __init__(self, project_root: str | Path) -> None:
         self.root = Path(project_root)
-        self._files: list[Path] = []
+        self._tables: dict[str, Mapping[str, Path]] = {}
+
+    @cached_property
+    def _layout(self) -> tuple[list[Path], list[str], list[str | None]]:
+        """The project's files, their path strings and project-relative
+        names.  Listed on first use, so a run that resolves no include
+        (every page served from the disk cache) never walks the tree;
+        fixed from then on for the resolver's lifetime, and each
+        directory's name table is built at most once."""
+        files: list[Path] = []
         if self.root.is_dir():
             for dirpath, _dirnames, filenames in os.walk(self.root):
                 for filename in filenames:
                     if filename.endswith((".php", ".inc", ".html", ".tpl")):
-                        self._files.append(Path(dirpath) / filename)
-        self._files.sort()
-        # the layout is fixed for the resolver's lifetime: path strings
-        # and project-relative names are computed once, and each
-        # directory's name table is built at most once
-        self._paths = [file.as_posix() for file in self._files]
+                        files.append(Path(dirpath) / filename)
+        files.sort()
+        paths = [file.as_posix() for file in files]
         root = self.root.as_posix()
-        self._root_names = [_relative(path, root) for path in self._paths]
-        self._tables: dict[str, Mapping[str, Path]] = {}
+        return files, paths, [_relative(path, root) for path in paths]
 
     def project_files(self) -> list[Path]:
-        return list(self._files)
+        return list(self._layout[0])
 
     def candidate_names(self, current_dir: Path) -> Mapping[str, Path]:
         """Every name a project file could be referred to by from
@@ -78,9 +84,7 @@ class IncludeResolver:
             return table
         PERF.incr("include.names.builds")
         names: dict[str, Path] = {}
-        for file, path, rel_root in zip(
-            self._files, self._paths, self._root_names
-        ):
+        for file, path, rel_root in zip(*self._layout):
             names.setdefault(rel_root, file)
             names.setdefault("./" + rel_root, file)
             rel_cur = _relative(path, current)

@@ -12,19 +12,41 @@ function models (:mod:`repro.php.builtins`).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.lang.charset import CharSet
 from repro.lang.fsa import DFA, NFA
 from repro.lang.fst import FST, FSTExplosion
-from repro.lang.grammar import Grammar, Lit, Nonterminal, Symbol, gc_paused
-from repro.lang.image import fst_image, regular_image
+from repro.lang.grammar import (
+    Grammar,
+    Lit,
+    Nonterminal,
+    Symbol,
+    gc_paused,
+    place_in_slot,
+    reserve_uid,
+)
+from repro.lang.image import DeferredImage, fst_image, regular_image
 from repro.lang.intersect import intersect
 from repro.lang.regex import Pattern, search_language
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE
 
 from .values import ArrVal, StrVal, Value
+
+
+@dataclass
+class _Pending:
+    """A deferred image's alias, until forced: the image, the operand
+    it was taken of, the uid reserved for its nonterminals, its origin
+    event (``after`` filled in at force time) and the span op hint."""
+
+    image: DeferredImage
+    operand: Nonterminal
+    slot: int
+    event: dict
+    hint: str
 
 
 class GrammarBuilder:
@@ -38,6 +60,10 @@ class GrammarBuilder:
     image or intersection is computed, so chains stay linear.  Query
     construction code rarely reaches the threshold, keeping precision
     where it matters.
+
+    An image that is itself above the threshold is *deferred* (DESIGN
+    §5o): its alias stands for the image's own widening until a reader
+    that needs the exact rules forces it (:meth:`force`, :meth:`settle`).
     """
 
     def __init__(
@@ -64,6 +90,8 @@ class GrammarBuilder:
         #: span of the source expression, superglobal key, …); set by the
         #: interpreter around superglobal reads, consumed once
         self.source_extra: dict | None = None
+        #: deferred images not yet forced, by alias
+        self._deferred: dict[Nonterminal, _Pending] = {}
 
     # -- provenance -----------------------------------------------------------
 
@@ -112,17 +140,28 @@ class GrammarBuilder:
 
         The size test sums the reachable rule lists in place: they are
         deduplicated, so the sum is the copy's ``num_productions()``, and
-        an oversized operand is widened without being copied first."""
+        an oversized operand is widened without being copied first.  An
+        operand reaching a deferred image is always oversized, so it is
+        never copied with a stand-in inside."""
         if self.operand_size(value) > self.widen_threshold:
             value = self.widen(value, f"{hint}▽")
         return self.grammar.subgrammar(value.nt), value
 
     def operand_size(self, value: StrVal) -> int:
-        """Rules reachable from ``value`` (its subgrammar's size)."""
+        """Rules reachable from ``value`` (its subgrammar's size).
+
+        A deferred image counts as its plan's lower bound, which is
+        above the threshold and at most what the built image counts, so
+        every widening decision is the one the built image gets."""
         productions = self.grammar.productions
+        reach = self.grammar.reachable(value.nt)
+        deferred = self._deferred
+        if not deferred:
+            return sum(len(productions.get(nt, ())) for nt in reach)
         return sum(
-            len(productions.get(nt, ()))
-            for nt in self.grammar.reachable(value.nt)
+            deferred[nt].image.size if nt in deferred
+            else len(productions.get(nt, ()))
+            for nt in reach
         )
 
     # -- basic constructors ---------------------------------------------------
@@ -257,20 +296,28 @@ class GrammarBuilder:
 
     @gc_paused
     def image(self, value: StrVal, fst: FST, hint: str = "fx") -> StrVal:
-        """Transducer image; widens the operand first if it would blow up."""
+        """Transducer image; widens the operand first if it would blow up,
+        and defers an image that its next consumer would only widen."""
         with TIMELINE.phase("image", op=hint):
             scope, value = self._scoped(value, hint)
             TIMELINE.annotate("operand_productions", scope.num_productions())
             before_sample = self._prov_sample(value.nt)
             try:
-                imaged, start = fst_image(scope, value.nt, fst)
+                imaged = fst_image(
+                    scope, value.nt, fst, defer_above=self.widen_threshold
+                )
             except FSTExplosion:
                 TIMELINE.annotate("explosion_fallback", True)
-                imaged, start = regular_image(
+                widened, start = regular_image(
                     self.grammar.charset_closure(value.nt), fst
                 )
                 for label in self.labels_of(value):
-                    imaged.add_label(start, label)
+                    widened.add_label(start, label)
+                imaged = widened, start
+            if isinstance(imaged, DeferredImage):
+                TIMELINE.annotate("deferred", True)
+                return self._defer(imaged, value.nt, hint, before_sample)
+        imaged, start = imaged
         result = self._absorb(imaged, start, hint, operand=value.nt)
         event = self._origin_event(
             "sanitizer",
@@ -281,6 +328,94 @@ class GrammarBuilder:
         )
         self.grammar.set_origin(result.nt, event, inputs=(value.nt,))
         return result
+
+    # -- deferred images -------------------------------------------------------
+
+    def _defer(
+        self, image: DeferredImage, operand: Nonterminal, hint: str, before: str
+    ) -> StrVal:
+        """The alias of an image left unbuilt: ``alias → ε | C alias``
+        with ``C`` the image's charset closure and the image's labels —
+        the widening the alias's consumer would compute from the built
+        image.  Its origin event is the one :meth:`image` records, with
+        ``after`` filled in when the image is forced."""
+        PERF.incr("image.deferred")
+        slot = reserve_uid()
+        alias = self.fresh(hint)
+        self.grammar.add(alias, ())
+        if image.closure:
+            self.grammar.add(alias, (image.closure, alias))
+        for label in sorted(image.labels):
+            self.grammar.add_label(alias, label)
+        event = self._origin_event(
+            "sanitizer",
+            self.call_name or hint,
+            op=hint,
+            before=before,
+            after="",
+        )
+        self.grammar.set_origin(alias, event, inputs=(operand,))
+        self._deferred[alias] = _Pending(image, operand, slot, event, hint)
+        return StrVal(alias)
+
+    @gc_paused
+    def _force_one(self, alias: Nonterminal) -> None:
+        """Build a deferred image and put it under its alias, leaving the
+        page grammar as :meth:`image` would have left it: the image's
+        nonterminals take uids from the reserved slot, the alias's rule
+        becomes ``alias → start`` and its labels the start's."""
+        pending = self._deferred.pop(alias)
+        with TIMELINE.phase("image", op=pending.hint, forced=True):
+            imaged, start = pending.image.build()
+        PERF.incr("image.forced")
+        place_in_slot(list(imaged.productions), pending.slot)
+        grammar = self.grammar
+        for nt, rules in imaged.productions.items():
+            grammar._bulk_add(nt, rules)
+        for nt, labels in imaged.labels.items():
+            for label in labels:
+                grammar.add_label(nt, label)
+            if labels:
+                grammar.add_prov_inputs(nt, (pending.operand,))
+        grammar.replace_rules(alias, [(start,)])
+        grammar.set_labels(alias, imaged.labels.get(start, ()))
+        pending.event["after"] = self._prov_sample(alias)
+
+    def force(self, value: StrVal) -> StrVal:
+        """Build every deferred image ``value`` reaches: for readers of
+        exact grammar structure (samples, reversal, include paths)."""
+        if self._deferred:
+            reach = self.grammar.reachable(value.nt)
+            for alias in sorted(self._deferred.keys() & reach):
+                self._force_one(alias)
+        return value
+
+    def settle(self, roots: Iterable[Nonterminal]) -> None:
+        """End of phase 1: force every deferred image the hotspot
+        queries ``roots`` reach over productions or ``prov_inputs``
+        edges (a finding's provenance reads the image's origin event),
+        then drop the plans of the rest.  Those keep their stand-in; a
+        later :meth:`force` re-plans them."""
+        if not self._deferred:
+            return
+        grammar = self.grammar
+        seen = set(roots)
+        stack = list(seen)
+        while stack:
+            nt = stack.pop()
+            for rhs in grammar.productions.get(nt, ()):
+                for symbol in rhs:
+                    if type(symbol) is Nonterminal and symbol not in seen:
+                        seen.add(symbol)
+                        stack.append(symbol)
+            for symbol in grammar.prov_inputs.get(nt, ()):
+                if symbol not in seen:
+                    seen.add(symbol)
+                    stack.append(symbol)
+        for alias in sorted(self._deferred.keys() & seen):
+            self._force_one(alias)
+        for pending in self._deferred.values():
+            pending.image.release()
 
     def widen(self, value: StrVal, hint: str = "▽") -> StrVal:
         """Regular over-approximation of the value (keeps taint).
@@ -296,7 +431,7 @@ class GrammarBuilder:
         if self.widen_strategy == "mohri-nederhof":
             from repro.lang.approx import is_strongly_regular, mohri_nederhof
 
-            scope = self.grammar.subgrammar(value.nt)
+            scope = self.grammar.subgrammar(self.force(value).nt)
             if not is_strongly_regular(scope, value.nt):
                 approx, root = mohri_nederhof(scope, value.nt)
                 result = self._absorb(approx, root, hint, operand=value.nt)
@@ -367,4 +502,4 @@ class GrammarBuilder:
         return self.literal("")
 
     def sample(self, value: StrVal, limit: int = 10) -> list[str]:
-        return self.grammar.sample_strings(value.nt, limit=limit)
+        return self.grammar.sample_strings(self.force(value).nt, limit=limit)

@@ -204,6 +204,7 @@ class StringTaintAnalysis:
         tree = self._parse(entry_path)
         if tree is not None:
             self._interpret_file(tree, self.globals)
+        self.builder.settle(spot.query.nt for spot in self.hotspots)
         return AnalysisResult(
             builder=self.builder,
             hotspots=self.hotspots,
@@ -537,7 +538,7 @@ class StringTaintAnalysis:
             current_dir = Path(self.current_file).parent if self.current_file else self.project_root
             files = self.resolver.resolve(
                 self.builder.grammar,
-                path_value.nt,
+                self.builder.force(path_value).nt,
                 current_dir,
                 audit=self.audit,
                 site=(self.current_file, stmt.line),

@@ -190,7 +190,7 @@ class TaintOnlyAnalysis:
         value = helper.eval(stmt.path, helper.globals)
         files = helper.resolver.resolve(
             helper.builder.grammar,
-            helper.builder.to_str(value).nt,
+            helper.builder.force(helper.builder.to_str(value)).nt,
             Path(self.current_file).parent if self.current_file else self.project_root,
         )
         for file in files:

@@ -155,7 +155,7 @@ def figure8() -> dict:
         [builder.literal(","), subject],
         [Literal(value=","), Var(name="s")],
     )
-    piece = pieces.default
+    piece = builder.force(pieces.default)
     return {
         "derives": {
             text: builder.grammar.generates(piece.nt, text)

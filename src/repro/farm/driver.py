@@ -24,7 +24,8 @@ batch's collect loop (counted as ``farm.envelopes.stale_dropped``), so a
 failed request never leaks results into a later batch — or a later
 tenant.  A worker that died (killed, out of memory) is reported by
 :meth:`AnalysisFarm.healthy`; the daemon replaces such a farm before
-its next batch.
+its next batch; a batch that finds a dead worker, or loses one while
+it runs, raises :class:`FarmWorkerDied`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ from repro.obs.timeline import TIMELINE
 
 from .scheduler import FarmTask, WorkStealingScheduler
 from .workers import BatchConfig, farm_worker_main
+
+
+class FarmWorkerDied(RuntimeError):
+    """A farm worker process is gone; the farm cannot run batches."""
 
 
 def _file_cost(path: Path) -> float:
@@ -64,13 +69,19 @@ class AnalysisFarm:
         self._batch_lock = threading.Lock()
         self._batch_counter = 0
         self._stop = self._ctx.Event()
+        #: released once per queued task (and once per worker at
+        #: shutdown): what idle workers block on
+        self._ready = self._ctx.Semaphore(0)
         self._task_queues = [self._ctx.Queue() for _ in range(self.jobs)]
         self._result_queue = self._ctx.Queue()
         self._workers = []
         for index in range(self.jobs):
             process = self._ctx.Process(
                 target=farm_worker_main,
-                args=(index, self._task_queues, self._result_queue, self._stop),
+                args=(
+                    index, self._task_queues, self._ready,
+                    self._result_queue, self._stop,
+                ),
                 daemon=True,
                 name=f"farm-worker-{index}",
             )
@@ -103,6 +114,9 @@ class AnalysisFarm:
         policies, profile, epoch,
     ) -> list:
         self._batch_counter += 1
+        # a live worker would steal a dead one's share, and the batch
+        # would look healthy: refuse it up front instead
+        self._check_workers()
         config = BatchConfig(
             root=str(root),
             audit=audit,
@@ -124,6 +138,7 @@ class AnalysisFarm:
         for worker_index, planned in enumerate(scheduler.queues):
             for task in planned:
                 self._task_queues[worker_index].put(task.payload)
+                self._ready.release()
         try:
             return self._collect(config, len(pages))
         except Exception:
@@ -142,20 +157,20 @@ class AnalysisFarm:
                     task_queue.get_nowait()
                 except queue_mod.Empty:
                     break
+                # the drained task's token (a worker may already hold
+                # it; it then finds nothing and waits again)
+                self._ready.acquire(block=False)
 
     def _collect(self, config, n_pages) -> list:
         results: list = [None] * n_pages
         outstanding = n_pages
         while outstanding > 0:
+            # a dead worker's task never reports back, and the live
+            # workers' envelopes would keep a get-timeout from firing
+            self._check_workers()
             try:
-                batch_tag, envelope = self._result_queue.get(timeout=1.0)
+                batch_tag, envelope = self._result_queue.get(timeout=0.5)
             except queue_mod.Empty:
-                for process in self._workers:
-                    if not process.is_alive():
-                        raise RuntimeError(
-                            f"farm worker {process.name} died "
-                            f"(exitcode {process.exitcode})"
-                        )
                 continue
             if batch_tag != config.batch_id:
                 # leftover from an aborted earlier batch (possibly a
@@ -190,8 +205,18 @@ class AnalysisFarm:
         """True while every worker process is alive."""
         return all(process.is_alive() for process in self._workers)
 
+    def _check_workers(self) -> None:
+        for process in self._workers:
+            if not process.is_alive():
+                raise FarmWorkerDied(
+                    f"farm worker {process.name} died "
+                    f"(exitcode {process.exitcode})"
+                )
+
     def shutdown(self) -> None:
         self._stop.set()
+        for _ in self._workers:
+            self._ready.release()
         for process in self._workers:
             process.join(timeout=2.0)
         for process in self._workers:

@@ -1,9 +1,11 @@
 """Farm worker processes: the execution side of the analysis farm.
 
-Each worker owns one task queue and loops: take from its own queue
-(FIFO — the driver placed the biggest tasks first), else **steal** the
-front of the most convenient victim's queue, else sleep a couple of
-milliseconds.  A task is one entry page, run through the exact
+Each worker owns one task queue and loops: wait on the farm's shared
+``ready`` semaphore (the driver releases it once per queued task), then
+take from its own queue (FIFO — the driver placed the biggest tasks
+first), else **steal** the front of the most convenient victim's queue.
+An idle worker is blocked in the semaphore wait and costs no CPU.  A
+task is one entry page, run through the exact
 :func:`_page_result` path a serial run takes (disk cache, phase 1,
 phase 2, audit).
 
@@ -130,28 +132,61 @@ def _execute(task, stolen: bool):
         return ("error", "page", traceback.format_exc(), PERF.diff(before), stolen)
 
 
-def farm_worker_main(index, task_queues, result_queue, stop_event):
-    """One worker process: take → steal → sleep, until told to stop."""
+#: How long an idle worker blocks before it looks at the queues anyway:
+#: a safety net for a task whose token was spent without taking it (see
+#: :func:`_take_after_wake`), not a polling interval.
+_IDLE_RECHECK_S = 0.5
+
+#: How long a woken worker keeps looking for the task its token stands
+#: for, and how often.
+_WAKE_PATIENCE_S = 0.05
+_WAKE_RETRY_S = 0.001
+
+
+def _take(own, victims):
+    """``(task, stolen)`` from the own queue, else a victim's, else
+    ``(None, False)``."""
+    try:
+        return own.get_nowait(), False
+    except queue.Empty:
+        pass
+    for victim in victims:
+        try:
+            return victim.get_nowait(), True
+        except queue.Empty:
+            continue
+    return None, False
+
+
+def _take_after_wake(own, victims):
+    """:func:`_take`, retried briefly: a ``multiprocessing.Queue`` hands
+    a ``put`` to a feeder thread, so right after the driver's release
+    the task may not have reached its pipe yet.  An empty result after
+    the retries means the token's task is gone (drained by an aborted
+    batch) or the token was shutdown's."""
+    deadline = time.monotonic() + _WAKE_PATIENCE_S
+    while True:
+        task, stolen = _take(own, victims)
+        if task is not None or time.monotonic() >= deadline:
+            return task, stolen
+        time.sleep(_WAKE_RETRY_S)
+
+
+def farm_worker_main(index, task_queues, ready, result_queue, stop_event):
+    """One worker process: wait → take or steal, until told to stop."""
     own = task_queues[index]
     victims = [
         task_queues[(index + step) % len(task_queues)]
         for step in range(1, len(task_queues))
     ]
     while not stop_event.is_set():
-        task = None
-        stolen = False
-        try:
-            task = own.get_nowait()
-        except queue.Empty:
-            for victim in victims:
-                try:
-                    task = victim.get_nowait()
-                    stolen = True
-                    break
-                except queue.Empty:
-                    continue
+        if ready.acquire(timeout=_IDLE_RECHECK_S):
+            if stop_event.is_set():
+                break
+            task, stolen = _take_after_wake(own, victims)
+        else:
+            task, stolen = _take(own, victims)
         if task is None:
-            time.sleep(0.002)
             continue
         # every envelope is tagged with its batch id so the driver can
         # discard leftovers from an aborted batch instead of mistaking

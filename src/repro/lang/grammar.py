@@ -88,6 +88,31 @@ class Nonterminal:
         return self.uid < other.uid
 
 
+def reserve_uid() -> int:
+    """Take the next uid without creating a nonterminal, so that
+    :func:`place_in_slot` can later give nonterminals created much
+    afterwards the uid order they would have had if created now."""
+    return next(Nonterminal._counter)
+
+
+def place_in_slot(nts: Sequence[Nonterminal], slot: int) -> None:
+    """Renumber ``nts``, in order, into the open interval between the
+    reserved uid ``slot`` and the next uid: they then sort after every
+    nonterminal created before the reservation and before every
+    nonterminal created after it."""
+    step = 1 / (len(nts) + 1)
+    for i, nt in enumerate(nts, 1):
+        nt.uid = slot + i * step
+
+
+def closure_of(texts: Iterable[str], charsets: Iterable[CharSet]) -> CharSet:
+    """Every character of ``texts`` and ``charsets``, as one charset."""
+    intervals = [(cp, cp) for cp in map(ord, set("".join(texts)))]
+    for charset in charsets:
+        intervals.extend(charset.intervals)
+    return CharSet(intervals)
+
+
 Symbol = Lit | CharSet | Nonterminal
 Rhs = tuple[Symbol, ...]
 
@@ -231,6 +256,24 @@ class Grammar:
             cached[1] = len(rules)
             self._rev += added
             self._nrules += added
+
+    def replace_rules(self, lhs: Nonterminal, rhss: Iterable[Rhs]) -> None:
+        """Make ``rhss`` (deduplicated, in order) ``lhs``'s whole rule
+        list; ``lhs`` keeps its place in the production order."""
+        self._nrules -= len(self.productions.get(lhs, ()))
+        self.productions[lhs] = []
+        self._dedup.pop(lhs, None)
+        self._rev += 1
+        self._bulk_add(lhs, rhss)
+
+    def set_labels(self, nt: Nonterminal, labels: Iterable[str]) -> None:
+        """Make ``labels`` exactly ``nt``'s label set."""
+        labels = set(labels)
+        if labels:
+            self.labels[nt] = labels
+        else:
+            self.labels.pop(nt, None)
+        self._rev += 1
 
     def add_label(self, nt: Nonterminal, label: str) -> None:
         self.labels.setdefault(nt, set()).add(label)
@@ -594,10 +637,7 @@ class Grammar:
                         texts.add(symbol.text)
                     elif isinstance(symbol, CharSet):
                         charsets.add(symbol)
-        intervals = [(cp, cp) for cp in map(ord, set("".join(texts)))]
-        for charset in charsets:
-            intervals.extend(charset.intervals)
-        chars = CharSet(intervals)
+        chars = closure_of(texts, charsets)
         self._memo_set(("closure", root), chars)
         return chars
 

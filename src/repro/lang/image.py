@@ -11,6 +11,14 @@ subgrammar is tainted.
 
 Because FSTs may be nondeterministic, a literal terminal can map to a
 *set* of outputs per state pair; these become alternation productions.
+
+A construction runs in two steps.  The **plan** (:func:`plan_image`) is
+the pair fixpoint and the reachable-triple prepass: it decides which
+triples the image has without creating any of them.  The
+**materialization** (:func:`_materialize`) then builds the output
+grammar from the plan.  A caller that would only widen an oversized
+image can stop after the plan and take a :class:`DeferredImage` instead
+(DESIGN §5o).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from repro.obs.metrics import PERF
 
 from .charset import CharSet
 from .fst import FST, FSTExplosion, map_marker_charset, render_output
-from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol
+from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol, closure_of
 
 
 #: How one generated nonterminal's name derives from the input grammar:
@@ -31,6 +39,26 @@ from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol
 #: when the ordinal is None (terminal wrappers, whose names are
 #: input-independent).
 NameRecipe = tuple[int | None, str]
+
+
+class _Entry:
+    """One memo entry: the built image, the deferral summary, or both.
+
+    ``size`` is the plan's lower bound on the image's rule count (see
+    :attr:`ImagePlan.size`), kept on every entry so a hit makes the same
+    deferral decision a miss would.  ``summary`` is ``(charset closure,
+    labels)`` of the image, filled only for images some caller deferred.
+    """
+
+    __slots__ = ("fst", "grammar", "start", "recipes", "size", "summary")
+
+    def __init__(self, fst, grammar, start, recipes, size, summary) -> None:
+        self.fst = fst
+        self.grammar: Grammar | None = grammar
+        self.start: Nonterminal | None = start
+        self.recipes: dict[Nonterminal, NameRecipe] | None = recipes
+        self.size: int = size
+        self.summary: tuple[CharSet, frozenset[str]] | None = summary
 
 
 class ImageCache:
@@ -45,40 +73,33 @@ class ImageCache:
     transducer.
 
     The *shape* fingerprint abstracts nonterminal names away, so a hit
-    may come from a page whose name counters differ; each entry
+    may come from a page whose name counters differ; each built entry
     therefore carries the :data:`NameRecipe` per cached nonterminal, and
     :func:`fst_image` re-derives names from the hitting input grammar —
     handing back exactly what an uncached construction would have built
-    (same names, same production order, fresh nonterminal objects).
+    (same names, same production order, fresh nonterminal objects).  An
+    entry of a deferred image holds only its summary until some caller
+    builds it.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self, fst: FST, fingerprint: str
-    ) -> tuple[Grammar, Nonterminal, dict[Nonterminal, NameRecipe]] | None:
-        """The raw cached entry (not a copy) — callers must not mutate."""
+    def get(self, fst: FST, fingerprint: str) -> _Entry | None:
+        """The raw cached entry (not a copy) — callers must not mutate
+        its grammar."""
         entry = self._entries.get((id(fst), fingerprint))
-        if entry is None or entry[0] is not fst:
+        if entry is None or entry.fst is not fst:
             return None
         self._entries.move_to_end((id(fst), fingerprint))
-        _, grammar, start, recipes = entry
-        return grammar, start, recipes
+        return entry
 
-    def put(
-        self,
-        fst: FST,
-        fingerprint: str,
-        grammar: Grammar,
-        start: Nonterminal,
-        recipes: dict[Nonterminal, NameRecipe],
-    ) -> None:
-        self._entries[(id(fst), fingerprint)] = (fst, grammar, start, recipes)
+    def put(self, fingerprint: str, entry: _Entry) -> None:
+        self._entries[(id(entry.fst), fingerprint)] = entry
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             PERF.incr("image.cache.evictions")
@@ -143,8 +164,11 @@ def _charset_steps(
 
 
 def fst_image(
-    grammar: Grammar, root: Nonterminal, fst: FST
-) -> tuple[Grammar, Nonterminal]:
+    grammar: Grammar,
+    root: Nonterminal,
+    fst: FST,
+    defer_above: int | None = None,
+) -> tuple[Grammar, Nonterminal] | DeferredImage:
     """Grammar for ``{ output : input ∈ L(grammar, root) }`` under ``fst``.
 
     Returns ``(result, start)``, trimmed, with labels propagated to
@@ -153,6 +177,11 @@ def fst_image(
     ``(FST identity, input fingerprint)``; only successful constructions
     are cached (an :class:`FSTExplosion` re-raises every time and the
     caller's widening fallback handles it).
+
+    With ``defer_above``, an image whose plan bounds its rule count
+    above that many rules (:attr:`ImagePlan.size`) is not built: the
+    caller gets a :class:`DeferredImage` instead.  The decision depends
+    only on the input, never on the memo's state.
     """
     with PERF.latency("image.lookup_seconds"):
         with PERF.timer("image.fingerprint"):
@@ -165,24 +194,97 @@ def fst_image(
             )
             fingerprint = f"{grammar.shape_fingerprint()}:{position}"
         entry = IMAGE_CACHE.get(fst, fingerprint)
-    if entry is not None:
+    defer = entry is not None and defer_above is not None and entry.size > defer_above
+    if entry is not None and (defer or entry.grammar is not None):
         PERF.incr("image.cache.hits")
         TIMELINE.annotate("cache", "hit")
-        cached_grammar, cached_start, recipes = entry
-        # a hit replays the memoized construction onto this grammar's
-        # names, one recipe per cached nonterminal — the replay count is
-        # the volume of construction work the memo turned into rebinds
-        PERF.incr("image.cache.replays", len(recipes))
-        with PERF.timer("image.rebind"), TIMELINE.phase("image.rebind"):
-            return _rebind_image(cached_grammar, cached_start, recipes, grammar)
+        if defer:
+            if entry.summary is None:
+                entry.summary = _built_summary(entry)
+            return DeferredImage(entry, grammar, root, fingerprint)
+        return _replay(entry, grammar)
     PERF.incr("image.cache.misses")
     TIMELINE.annotate("cache", "miss")
+    with PERF.timer("image.plan"), TIMELINE.phase("image.plan"):
+        plan = plan_image(grammar, root, fst)
+        if defer_above is not None and plan.size > defer_above:
+            entry = _Entry(fst, None, None, None, plan.size, _summarize(plan))
+            IMAGE_CACHE.put(fingerprint, entry)
+            return DeferredImage(entry, grammar, root, fingerprint, plan)
+    return _build(plan, fingerprint, entry)
+
+
+def _replay(entry: _Entry, grammar: Grammar) -> tuple[Grammar, Nonterminal]:
+    """A hit: the memoized construction replayed onto ``grammar``'s names."""
+    # one recipe per cached nonterminal — the replay count is the volume
+    # of construction work the memo turned into rebinds
+    PERF.incr("image.cache.replays", len(entry.recipes))
+    with PERF.timer("image.rebind"), TIMELINE.phase("image.rebind"):
+        return _rebind_image(entry.grammar, entry.start, entry.recipes, grammar)
+
+
+def _build(
+    plan: ImagePlan, fingerprint: str, entry: _Entry | None
+) -> tuple[Grammar, Nonterminal]:
+    """Materialize ``plan`` and memoize the result (keeping the summary
+    of an ``entry`` that was deferred before)."""
     with PERF.timer("image.construct"), TIMELINE.phase("image.construct"):
-        result, start, recipes = _fst_image_uncached(grammar, root, fst)
-    IMAGE_CACHE.put(fst, fingerprint, result, start, recipes)
+        result, start, recipes = _materialize(plan)
+    summary = entry.summary if entry is not None else None
+    IMAGE_CACHE.put(
+        fingerprint, _Entry(plan.fst, result, start, recipes, plan.size, summary)
+    )
     # hand the first caller a copy too: the cached original must never
     # be reachable from mutating callers
     return result.structural_copy(), start
+
+
+class DeferredImage:
+    """A transducer image that was planned but not built.
+
+    It carries what a consumer that widens the image needs — ``size``,
+    the plan's lower bound on the image's rule count; ``closure``, the
+    exact charset closure of the image's language; ``labels``, exactly
+    the labels the built image would carry — and :meth:`build` produces
+    the image itself on demand: from the saved plan, else by replaying a
+    built memo entry, else by planning again.  :meth:`release` drops
+    the plan (the largest part) and keeps only what re-planning needs.
+    """
+
+    __slots__ = ("size", "closure", "labels", "_entry", "_grammar", "_root",
+                 "_fingerprint", "_plan")
+
+    def __init__(
+        self,
+        entry: _Entry,
+        grammar: Grammar,
+        root: Nonterminal,
+        fingerprint: str,
+        plan: ImagePlan | None = None,
+    ) -> None:
+        self.size = entry.size
+        self.closure, self.labels = entry.summary
+        self._entry = entry
+        self._grammar = grammar
+        self._root = root
+        self._fingerprint = fingerprint
+        self._plan = plan
+
+    def build(self) -> tuple[Grammar, Nonterminal]:
+        """Exactly what :func:`fst_image` without deferral returns."""
+        fst = self._entry.fst
+        entry = IMAGE_CACHE.get(fst, self._fingerprint) or self._entry
+        if entry.grammar is not None:
+            return _replay(entry, self._grammar)
+        plan = self._plan
+        self._plan = None
+        if plan is None:
+            with PERF.timer("image.plan"), TIMELINE.phase("image.plan"):
+                plan = plan_image(self._grammar, self._root, fst)
+        return _build(plan, self._fingerprint, entry)
+
+    def release(self) -> None:
+        self._plan = None
 
 
 def _rebind_image(
@@ -221,56 +323,93 @@ def _rebind_image(
     return result, start
 
 
-def _fst_image_uncached(
-    grammar: Grammar, root: Nonterminal, fst: FST
-) -> tuple[Grammar, Nonterminal, dict[Nonterminal, NameRecipe]]:
-    normalized = grammar.normalized(root)
+class ImagePlan:
+    """The pair fixpoint and reachable-triple prepass of one image.
+
+    ``pairs`` maps each normalized nonterminal to the ``(p, q)`` state
+    pairs its strings can cross; ``reachable`` is the set of triples
+    ``(X, p, q)`` the image keeps.  The call-local memos (literal runs,
+    terminal crossings, start-state indexes) are kept too, so
+    materializing later repeats none of the plan's work.
+    """
+
+    __slots__ = ("grammar", "root", "fst", "normalized", "pairs",
+                 "lit_cache", "term_cache", "starts_index", "reachable")
+
+    @property
+    def size(self) -> int:
+        """A lower bound on the built image's rule count as a page
+        operand (its alias rule included): every kept triple keeps at
+        least one rule — the fixpoint made it productive — and so do
+        the start and the alias.  An empty image is its alias rule."""
+        return len(self.reachable) + 2 if self.reachable else 1
+
+    def lit_runs(self, text: str, p: int) -> dict[int, set[str]]:
+        key = (text, p)
+        runs = self.lit_cache.get(key)
+        if runs is None:
+            runs = self.lit_cache[key] = _lit_runs(self.fst, text, p)
+        return runs
+
+    def sym_pairs(self, symbol: Symbol) -> set[tuple[int, int]]:
+        if isinstance(symbol, Nonterminal):
+            return self.pairs[symbol]
+        key = id(symbol)
+        found = self.term_cache.get(key)
+        if found is None:
+            found = set()
+            if isinstance(symbol, Lit):
+                for p in range(self.fst.num_states):
+                    for q in self.lit_runs(symbol.text, p):
+                        found.add((p, q))
+            else:
+                for p in range(self.fst.num_states):
+                    for q in _charset_steps(self.fst, symbol, p):
+                        found.add((p, q))
+            self.term_cache[key] = found
+        return found
+
+    def by_first(self, symbol: Symbol) -> dict[int, list[int]]:
+        """``symbol``'s realizable pairs indexed by start state."""
+        key = id(symbol)
+        index = self.starts_index.get(key)
+        if index is None:
+            index = {}
+            for p2, mid in self.sym_pairs(symbol):
+                index.setdefault(p2, []).append(mid)
+            self.starts_index[key] = index
+        return index
+
+
+def plan_image(grammar: Grammar, root: Nonterminal, fst: FST) -> ImagePlan:
+    """Plan the image of ``L(grammar, root)`` under ``fst``: which state
+    pairs each nonterminal crosses, and which triples survive."""
+    plan = ImagePlan()
+    plan.grammar = grammar
+    plan.root = root
+    plan.fst = fst
+    normalized = plan.normalized = grammar.normalized(root)
     states = list(range(fst.num_states))
-    # name provenance for the cache: which input nonterminal each
-    # generated name string derives from (chain variables inherit the
-    # lhs they were split from)
-    input_ordinal = {nt: i for i, nt in enumerate(grammar.productions)}
-    chain_source: dict[Nonterminal, Nonterminal] = getattr(
-        normalized, "_chain_source", {}
-    )
-    recipes: dict[Nonterminal, NameRecipe] = {}
 
     # ---- pair fixpoint (which (p, q) are realizable per nonterminal) ----
     pairs: dict[Nonterminal, set[tuple[int, int]]] = defaultdict(set)
-    # Call-local memos, freed when this construction returns: their size
-    # is bounded by (distinct literals in the input subgrammar) × states,
-    # so no global bound is needed — but their high-water marks are
-    # reported through the perf gauges below so a pathological grammar
-    # shows up in --profile instead of as silent memory growth.
-    lit_cache: dict[tuple[int, str, int], dict[int, set[str]]] = {}
-
-    def lit_runs(text: str, p: int) -> dict[int, set[str]]:
-        key = (id(fst), text, p)
-        if key not in lit_cache:
-            lit_cache[key] = _lit_runs(fst, text, p)
-        return lit_cache[key]
-
-    def term_pairs(symbol: Symbol) -> set[tuple[int, int]]:
-        found = set()
-        if isinstance(symbol, Lit):
-            for p in states:
-                for q in lit_runs(symbol.text, p):
-                    found.add((p, q))
-        else:
-            for p in states:
-                for q in _charset_steps(fst, symbol, p):
-                    found.add((p, q))
-        return found
-
+    plan.pairs = pairs
+    # Plan-local memos, freed with the plan: their size is bounded by
+    # (distinct literals in the input subgrammar) × states, so no global
+    # bound is needed — but their high-water marks are reported through
+    # the perf gauges below so a pathological grammar shows up in
+    # --profile instead of as silent memory growth.
+    plan.lit_cache = {}
     term_cache: dict[int, set[tuple[int, int]]] = {}
+    plan.term_cache = term_cache
+    plan.starts_index = {}
+    term_pairs = plan.sym_pairs
 
     def sym_pairs(symbol: Symbol) -> set[tuple[int, int]]:
         if isinstance(symbol, Nonterminal):
             return pairs[symbol]
-        key = id(symbol)
-        if key not in term_cache:
-            term_cache[key] = term_pairs(symbol)
-        return term_cache[key]
+        found = term_cache.get(id(symbol))
+        return found if found is not None else term_pairs(symbol)
 
     rules = normalized.productions
     # memoized on the (frozen) normalized grammar, shared across the
@@ -338,7 +477,7 @@ def _fst_image_uncached(
                         queued.add(parent)
                         worklist.append(parent)
     PERF.incr("image.fixpoint_iterations", iterations)
-    PERF.gauge("image.lit_cache.max_size", len(lit_cache))
+    PERF.gauge("image.lit_cache.max_size", len(plan.lit_cache))
     PERF.gauge("image.term_cache.max_size", len(term_cache))
 
     # ---- reachable-triple prepass ---------------------------------------
@@ -348,66 +487,146 @@ def _fst_image_uncached(
     # the reachable set).  Walk the triple graph top-down *before*
     # creating anything: a production of X_{pq} references Y_{p,mid} /
     # B_{mid,q} only when both sides cross realizable pairs, which is
-    # decidable from the fixpoint alone.  The materialization loop below
-    # then runs in its original order, skipping non-members — identical
+    # decidable from the fixpoint alone.  The materialization then runs
+    # in its original order, skipping non-members — identical
     # per-production order and identical relative creation order of
     # everything the eager construction would have kept.
-    starts_index: dict[int, dict[int, list[int]]] = {}
-
-    def by_first(symbol: Symbol) -> dict[int, list[int]]:
-        key = id(symbol)
-        index = starts_index.get(key)
-        if index is None:
-            index = {}
-            for p2, mid in sym_pairs(symbol):
-                index.setdefault(p2, []).append(mid)
-            starts_index[key] = index
-        return index
-
-    prepass_timer = PERF.timer("image.prepass")
-    prepass_timer.__enter__()
-    reachable_triples: set[tuple[Nonterminal, int, int]] = set()
-    stack: list[tuple[Nonterminal, int, int]] = []
-    for q in states:
-        if fst.is_accepting(q) and (fst.start, q) in pairs[root]:
-            entry = (root, fst.start, q)
-            if entry not in reachable_triples:
-                reachable_triples.add(entry)
-                stack.append(entry)
-    while stack:
-        lhs, p, q = stack.pop()
-        for rhs in rules.get(lhs, ()):
-            if not rhs:
-                continue
-            if len(rhs) == 1:
-                symbol = rhs[0]
-                if isinstance(symbol, Nonterminal) and (p, q) in pairs[symbol]:
-                    succ = (symbol, p, q)
-                    if succ not in reachable_triples:
-                        reachable_triples.add(succ)
-                        stack.append(succ)
-                continue
-            first, second = rhs
-            second_pairs = sym_pairs(second)
-            first_is_nt = isinstance(first, Nonterminal)
-            second_is_nt = isinstance(second, Nonterminal)
-            for mid in by_first(first).get(p, ()):
-                if (mid, q) not in second_pairs:
+    by_first = plan.by_first
+    with PERF.timer("image.prepass"):
+        reachable_triples: set[tuple[Nonterminal, int, int]] = set()
+        stack: list[tuple[Nonterminal, int, int]] = []
+        for q in states:
+            if fst.is_accepting(q) and (fst.start, q) in pairs[root]:
+                entry = (root, fst.start, q)
+                if entry not in reachable_triples:
+                    reachable_triples.add(entry)
+                    stack.append(entry)
+        while stack:
+            lhs, p, q = stack.pop()
+            for rhs in rules.get(lhs, ()):
+                if not rhs:
                     continue
-                if first_is_nt:
-                    succ = (first, p, mid)
-                    if succ not in reachable_triples:
-                        reachable_triples.add(succ)
-                        stack.append(succ)
-                if second_is_nt:
-                    succ = (second, mid, q)
-                    if succ not in reachable_triples:
-                        reachable_triples.add(succ)
-                        stack.append(succ)
-    prepass_timer.__exit__(None, None, None)
+                if len(rhs) == 1:
+                    symbol = rhs[0]
+                    if isinstance(symbol, Nonterminal) and (p, q) in pairs[symbol]:
+                        succ = (symbol, p, q)
+                        if succ not in reachable_triples:
+                            reachable_triples.add(succ)
+                            stack.append(succ)
+                    continue
+                first, second = rhs
+                second_pairs = sym_pairs(second)
+                first_is_nt = isinstance(first, Nonterminal)
+                second_is_nt = isinstance(second, Nonterminal)
+                for mid in by_first(first).get(p, ()):
+                    if (mid, q) not in second_pairs:
+                        continue
+                    if first_is_nt:
+                        succ = (first, p, mid)
+                        if succ not in reachable_triples:
+                            reachable_triples.add(succ)
+                            stack.append(succ)
+                    if second_is_nt:
+                        succ = (second, mid, q)
+                        if succ not in reachable_triples:
+                            reachable_triples.add(succ)
+                            stack.append(succ)
+    plan.reachable = reachable_triples
     PERF.gauge("image.reachable_triples", len(reachable_triples))
+    return plan
 
-    # ---- materialize the output grammar ---------------------------------
+
+def _summarize(plan: ImagePlan) -> tuple[CharSet, frozenset[str]]:
+    """``(charset closure, labels)`` of the image ``plan`` describes,
+    without building it: the characters of every terminal crossing a
+    kept production body makes (plus the final flushes), and the labels
+    of the base nonterminal of every kept triple.  Equal to
+    ``charset_closure`` and the label union of the materialized image,
+    because a body is kept exactly when both of its sides cross a
+    realizable pair."""
+    with PERF.timer("image.summary"):
+        fst = plan.fst
+        rules = plan.normalized.productions
+        node_labels = plan.normalized.labels
+        sym_pairs = plan.sym_pairs
+        crossings: set[tuple[int, int, int]] = set()
+        symbols: dict[int, Symbol] = {}
+        labels: set[str] = set()
+        for lhs, p, q in plan.reachable:
+            labels.update(node_labels.get(lhs, ()))
+            for rhs in rules.get(lhs, ()):
+                if len(rhs) == 1:
+                    symbol = rhs[0]
+                    if not isinstance(symbol, Nonterminal):
+                        symbols[id(symbol)] = symbol
+                        crossings.add((id(symbol), p, q))
+                elif rhs:
+                    first, second = rhs
+                    first_term = not isinstance(first, Nonterminal)
+                    second_term = not isinstance(second, Nonterminal)
+                    if not (first_term or second_term):
+                        continue
+                    second_pairs = sym_pairs(second)
+                    for mid in plan.by_first(first).get(p, ()):
+                        if (mid, q) not in second_pairs:
+                            continue
+                        if first_term:
+                            symbols[id(first)] = first
+                            crossings.add((id(first), p, mid))
+                        if second_term:
+                            symbols[id(second)] = second
+                            crossings.add((id(second), mid, q))
+        texts: set[str] = set()
+        charsets: set[CharSet] = set()
+        for key, p, q in crossings:
+            symbol = symbols[key]
+            if isinstance(symbol, Lit):
+                texts.update(plan.lit_runs(symbol.text, p).get(q, ()))
+                continue
+            for sequence in _charset_steps(fst, symbol, p).get(q, ()):
+                for item in sequence:
+                    if isinstance(item, Lit):
+                        texts.add(item.text)
+                    else:
+                        charsets.add(item)
+        for q in range(fst.num_states):
+            if fst.is_accepting(q) and (fst.start, q) in plan.pairs[plan.root]:
+                texts.add(fst.final_output.get(q, ""))
+        labels.update(node_labels.get(plan.root, ()))
+        return closure_of(texts, charsets), frozenset(labels)
+
+
+def _built_summary(entry: _Entry) -> tuple[CharSet, frozenset[str]]:
+    """The summary of a memoized built image, read off the image."""
+    grammar = entry.grammar
+    labels: set[str] = set()
+    for found in grammar.labels.values():
+        labels |= found
+    return grammar.charset_closure(entry.start), frozenset(labels)
+
+
+def _materialize(
+    plan: ImagePlan,
+) -> tuple[Grammar, Nonterminal, dict[Nonterminal, NameRecipe]]:
+    """Build the trimmed image grammar ``plan`` describes, with the name
+    recipe of every kept nonterminal (see :class:`ImageCache`)."""
+    grammar, root, fst = plan.grammar, plan.root, plan.fst
+    normalized = plan.normalized
+    pairs = plan.pairs
+    reachable_triples = plan.reachable
+    by_first = plan.by_first
+    lit_runs = plan.lit_runs
+    rules = normalized.productions
+    states = range(fst.num_states)
+    # name provenance for the cache: which input nonterminal each
+    # generated name string derives from (chain variables inherit the
+    # lhs they were split from)
+    input_ordinal = {nt: i for i, nt in enumerate(grammar.productions)}
+    chain_source: dict[Nonterminal, Nonterminal] = getattr(
+        normalized, "_chain_source", {}
+    )
+    recipes: dict[Nonterminal, NameRecipe] = {}
+
     materialize_timer = PERF.timer("image.materialize")
     materialize_timer.__enter__()
     result = Grammar()

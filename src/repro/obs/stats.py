@@ -31,8 +31,8 @@ the run*.  Three accounting notions, kept deliberately distinct:
     workers in ``attrs.process_cpu_seconds``.  The summary then also
     reports which share of it the attributed spans cover — start-up
     included, since the driver lane carries a ``startup`` span — so
-    CPU no span explains (worker fork and teardown, idle polling)
-    shows up as the gap.
+    CPU no span explains (worker fork and teardown) shows up as the
+    gap.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ records flat, phase-tagged spans —
 interpretation), ``intersect`` / ``image`` (its grammar refinements and
 transducer images), ``phase2``, ``hotspot`` (one hotspot's check),
 ``verdict-memo`` (lookup, hit or miss), ``cascade:<policy>`` (the
-phase-2 check cascade), ``image.construct`` /
+phase-2 check cascade), ``image.plan`` / ``image.construct`` /
 ``image.rebind``, ``audit``, ``cache.page_load``, ``pickle`` (result
 serialization for the IPC hop), and ``gc`` (a cyclic collector pause,
 recorded by :mod:`repro.obs.gcprobe`)
@@ -57,8 +57,8 @@ TIMELINE_FORMAT = "sqlciv-timeline/1"
 
 #: The spans the ``--trace`` view renders: those whose existence does
 #: not depend on per-process memo state (``cascade:*`` and
-#: ``image.construct``/``image.rebind`` run only on a memo miss;
-#: ``cache.page_load``, ``gc`` and ``pickle`` only under some options),
+#: ``image.plan``/``image.construct``/``image.rebind`` depend on the
+#: memos; ``cache.page_load``, ``gc`` and ``pickle`` only under some options),
 #: so a serial and a ``--jobs N`` run render the same tree.  ``page`` is
 #: the capture itself.
 TRACE_PHASES = frozenset({

@@ -157,7 +157,7 @@ def _between_delims_fst(delim: str) -> FST:
 
 def _reverse_value(builder: GrammarBuilder, value: StrVal) -> StrVal:
     """Exact language reversal: reverse every rhs and every literal."""
-    scope = builder.grammar.subgrammar(value.nt)
+    scope = builder.grammar.subgrammar(builder.force(value).nt)
     mapping = {nt: builder.fresh(f"rev.{nt.name}") for nt in scope.productions}
     for nt, rules in scope.productions.items():
         for rhs in rules:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import absdom
 from repro.analysis.absdom import GrammarBuilder
 from repro.analysis.analyzer import entry_pages, run_pages
 from repro.analysis.values import ArrVal
@@ -9,6 +10,7 @@ from repro.corpus import build_app
 from repro.lang.charset import CharSet, DIGITS
 from repro.lang.fst import FST
 from repro.lang.grammar import DIRECT, INDIRECT
+from repro.lang.image import fst_image
 from repro.lang.regex import parse_regex
 
 
@@ -176,30 +178,55 @@ class TestCoercion:
 
 class TestOperandSizing:
     """``_scoped`` sizes an operand by summing its reachable rule lists
-    instead of copying its subgrammar; on every ``image``/``refine``
-    operand of two corpus apps that sum must be the copy's size, so the
-    widening decision is the one the copy would have made."""
+    instead of copying its subgrammar.  On every ``image``/``refine``
+    operand of two corpus apps that sum must be the copy's size unless
+    the operand reaches a deferred image (which counts as its plan's
+    lower bound), and every widening decision — and the scope it leads
+    to — must be the one a run that never defers makes."""
+
+    @staticmethod
+    def _decisions(app, root, monkeypatch, defer):
+        seen = []
+        scoped = GrammarBuilder._scoped
+
+        def checked(builder, value, hint):
+            counted = builder.operand_size(value)
+            reach = builder.grammar.reachable(value.nt)
+            deferred = bool(builder._deferred.keys() & reach)
+            if not deferred:
+                copied = builder.grammar.subgrammar(value.nt).num_productions()
+                assert counted == copied
+            scope, used = scoped(builder, value, hint)
+            widened = used.nt is not value.nt
+            assert widened == (counted > builder.widen_threshold)
+            if deferred:
+                assert widened
+            seen.append((hint, widened, scope.num_productions(), deferred))
+            return scope, used
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GrammarBuilder, "_scoped", checked)
+            if not defer:
+                patch.setattr(absdom, "fst_image", _never_defer)
+            run_pages(root, entry_pages(root), jobs=1)
+        return seen
 
     @pytest.mark.parametrize("app", ["eve_activity_tracker", "tiger_php_news"])
     def test_reachable_rule_count_is_subgrammar_size(
         self, app, tmp_path, monkeypatch
     ):
-        seen = []
-        scoped = GrammarBuilder._scoped
-
-        def checked(builder, value, hint):
-            copied = builder.grammar.subgrammar(value.nt).num_productions()
-            counted = builder.operand_size(value)
-            scope, used = scoped(builder, value, hint)
-            widened = used.nt is not value.nt
-            seen.append((counted, copied, builder.widen_threshold, widened))
-            return scope, used
-
-        monkeypatch.setattr(GrammarBuilder, "_scoped", checked)
         build_app(tmp_path, app)
         root = tmp_path / app
-        run_pages(root, entry_pages(root), jobs=1)
-        assert seen
-        for counted, copied, threshold, widened in seen:
-            assert counted == copied
-            assert widened == (copied > threshold)
+        deferring = self._decisions(app, root, monkeypatch, defer=True)
+        eager = self._decisions(app, root, monkeypatch, defer=False)
+        assert deferring
+        assert not any(deferred for *_, deferred in eager)
+        assert [d[:3] for d in deferring] == [d[:3] for d in eager]
+        if app == "tiger_php_news":
+            assert any(deferred for *_, deferred in deferring)
+
+
+def _never_defer(grammar, root, fst, defer_above=None):
+    """:func:`repro.lang.image.fst_image` with deferral switched off."""
+    return fst_image(grammar, root, fst)
+

@@ -11,6 +11,8 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -123,5 +125,62 @@ def test_worker_killed_mid_batch(app, start_daemon, monkeypatch, tmp_path):
         assert served_text(after) == serial_text(app)
         assert_fresh_pool(harness.daemon, old_pids)
     finally:
+        client.close()
+        harness.daemon.close()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the injected fault reaches the workers by fork inheritance",
+)
+def test_worker_killed_from_outside_mid_task(
+    app, start_daemon, monkeypatch, tmp_path
+):
+    """SIGKILL from outside, while a worker is stuck in ``index.php``:
+    only that request fails, within two seconds of the kill, and the
+    next ``analyze`` serves the serial document from a rebuilt farm."""
+    trigger = tmp_path / "stick-next-index-page"
+    started_file = tmp_path / "stuck-worker-pid"
+    real_page_result = farm_workers._page_result
+
+    def stuck_page_result(root, page, *args):
+        if str(page).endswith("index.php") and trigger.exists():
+            trigger.unlink()
+            started_file.write_text(str(os.getpid()))
+            time.sleep(60)
+        return real_page_result(root, page, *args)
+
+    monkeypatch.setattr(farm_workers, "_page_result", stuck_page_result)
+    trigger.write_text("")
+    harness = start_daemon(app, jobs=2)
+    client = harness.client()
+    killed_at = []
+
+    def kill_when_stuck():
+        deadline = time.monotonic() + 30
+        while not started_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.05)
+        os.kill(int(started_file.read_text()), signal.SIGKILL)
+        killed_at.append(time.monotonic())
+
+    killer = threading.Thread(target=kill_when_stuck)
+    killer.start()
+    try:
+        with pytest.raises(ServerError) as excinfo:
+            client.analyze()
+        failed_at = time.monotonic()
+        killer.join()
+        assert excinfo.value.code == "internal-error"
+        assert "died" in excinfo.value.message
+        assert failed_at - killed_at[0] < 2.0
+        old_pids = {process.pid for process in harness.daemon._farm._workers}
+
+        after = client.analyze()
+        assert after["pages_reanalyzed"] == len(PAGES)
+        assert served_text(after) == serial_text(app)
+        assert_fresh_pool(harness.daemon, old_pids)
+    finally:
+        killer.join()
         client.close()
         harness.daemon.close()

@@ -50,6 +50,7 @@ if TYPE_CHECKING:
 ANALYSIS_STACK = (
     "repro.analysis.stringtaint",
     "repro.analysis.policy",
+    "repro.analysis.policies",
     "repro.php.features",
 )
 
@@ -75,9 +76,9 @@ def check_hotspot(grammar, spot) -> HotspotReport:
 
 
 def _check_spot(grammar, spot, policies) -> HotspotReport:
-    """Phase-2 dispatch: SQL hotspots keep the classic cascade path
-    (byte-identical output); policy-recorded hotspots go through their
-    owning :class:`~repro.analysis.policies.SinkPolicy`."""
+    """Phase-2 dispatch: SQL hotspots go through :func:`check_hotspot`,
+    whose default policy is SQL; policy-recorded hotspots go through
+    their owning :class:`~repro.analysis.policies.SinkPolicy`."""
     kind = getattr(spot, "kind", "sql")
     if policies is None or kind == "sql":
         return check_hotspot(grammar, spot)

@@ -21,7 +21,7 @@ from repro.lang.charset import CharSet
 from repro.lang.fsa import DFA, NFA
 from repro.lang.intersect import intersection_is_empty
 
-from ..policy import _witness, check_hotspot, maximal_labeled
+from ..policy import _witness, check_hotspot
 from ..reports import Finding
 
 
@@ -33,7 +33,8 @@ class SinkPolicy:
     """
 
     #: policy id — doubles as the ``Hotspot.kind`` discriminator and the
-    #: verdict-cache namespace
+    #: default verdict-cache namespace; it also names the ``cascade:<id>``
+    #: timeline phase
     id: str = ""
     #: human-readable vulnerability title (SARIF message prefix)
     title: str = ""
@@ -51,13 +52,12 @@ class SinkPolicy:
     def check(self, grammar, hotspot, cache=None):
         """The :class:`~repro.analysis.reports.HotspotReport` for one
         hotspot of this policy's kind (memoized per policy namespace)."""
-        return check_hotspot(
-            grammar,
-            hotspot,
-            cache=cache,
-            cascade=self._cascade,
-            namespace=self.id,
-        )
+        return check_hotspot(grammar, hotspot, cache=cache, policy=self)
+
+    @property
+    def namespace(self) -> str:
+        """The verdict-cache namespace: the policy id."""
+        return self.id
 
     def check_labeled(self, scope, root, labeled, hotspot, others):
         """Findings for one maximal labeled nonterminal (≥ 1 entry)."""
@@ -71,36 +71,6 @@ class SinkPolicy:
         danger constructor is process-cached (``lru_cache``), so warming
         is idempotent; the default is a no-op for policies without
         eagerly buildable automata."""
-
-    # -- framework plumbing --------------------------------------------------
-
-    def _cascade(self, scope, root, hotspot, report):
-        """Per-hotspot driver mirroring the SQL cascade's shape: sample
-        the sink string, check every maximal labeled nonterminal, and
-        collapse automaton-state-split duplicates."""
-        report.query_samples = scope.shortest_strings(root, limit=3)
-        maximal = maximal_labeled(scope, root)
-        findings: list[tuple[object, Finding]] = []
-        for labeled in maximal:
-            for finding in self.check_labeled(
-                scope, root, labeled, hotspot, others=maximal
-            ):
-                findings.append((labeled, finding))
-        seen: dict[tuple, int] = {}
-        kept_nts: list = []
-        for labeled, finding in findings:
-            key = (finding.category, finding.check, finding.safe, finding.context)
-            if key in seen:
-                kept = report.findings[seen[key]]
-                if finding.witness and not kept.witness:
-                    kept.witness = finding.witness
-                    kept.witness_unavailable = False
-                continue
-            seen[key] = len(report.findings)
-            report.findings.append(finding)
-            kept_nts.append(labeled)
-        report._finding_nts = kept_nts
-        return kept_nts
 
     def finding(
         self,

@@ -104,21 +104,23 @@ def check_hotspot(
     grammar: Grammar,
     hotspot: Hotspot,
     cache: VerdictCache | None = None,
-    cascade=None,
-    namespace: str = "",
+    policy=None,
 ) -> HotspotReport:
-    """Run the full check cascade for one hotspot (memoized).
+    """Run a sink policy's check cascade for one hotspot (memoized).
+
+    ``policy`` is the :class:`~repro.analysis.policies.SinkPolicy` whose
+    checks run, SQL confinement by default; its ``namespace`` keeps its
+    memo entries apart from other policies' verdicts on the same
+    subgrammar fingerprint.
 
     ``cache`` defaults to the process-wide :data:`VERDICT_CACHE`; pass an
     explicit :class:`VerdictCache` to isolate, or construct one with
     ``maxsize=0``-style behaviour by passing a fresh instance per call.
-
-    ``cascade`` overrides the SQL-confinement cascade — sink policies
-    (:mod:`repro.analysis.policies`) pass their own
-    ``(scope, root, hotspot, report)`` callable and a ``namespace`` that
-    keeps their memo entries apart from other policies' verdicts on the
-    same subgrammar fingerprint.
     """
+    if policy is None:
+        from .policies.registry import policy_instance
+
+        policy = policy_instance("sql")
     if cache is None:
         cache = VERDICT_CACHE
     report = HotspotReport(file=hotspot.file, line=hotspot.line, sink=hotspot.sink)
@@ -132,8 +134,8 @@ def check_hotspot(
                 with PERF.timer("phase2.fingerprint"):
                     order = scope.canonical_order(root)
                     key = scope.fingerprint(root, order=order)
-                    if namespace:
-                        key = f"{namespace}:{key}"
+                    if policy.namespace:
+                        key = f"{policy.namespace}:{key}"
                 cached = cache.get(key)
             outcome = "miss" if cached is None else "hit"
             TIMELINE.annotate("outcome", outcome)
@@ -147,9 +149,9 @@ def check_hotspot(
         else:
             PERF.incr("policy.verdict_cache.misses")
             with PERF.timer("phase2.cascade"), TIMELINE.phase(
-                f"cascade:{namespace or 'sql'}"
+                f"cascade:{policy.id}"
             ):
-                (cascade or _run_cascade)(scope, root, hotspot, report)
+                _cascade(policy, scope, root, hotspot, report)
             cache.put(key, _cached_from_report(report, order))
         # provenance is attached *after* both paths, from the hitting
         # page's grammar: cached verdicts re-bind to this page's source
@@ -162,7 +164,7 @@ def check_hotspot(
 def _attach_provenance(grammar: Grammar, report: HotspotReport) -> None:
     """Derive each finding's taint chain from the page grammar.
 
-    Consumes ``report._finding_nts`` (set by :func:`_run_cascade` on the
+    Consumes ``report._finding_nts`` (set by :func:`_cascade` on the
     miss path and by :func:`_report_from_cached` on the hit path) and
     removes it afterwards, keeping reports free of live grammar objects
     — they travel through pickles (disk cache, worker processes)."""
@@ -179,39 +181,39 @@ def _attach_provenance(grammar: Grammar, report: HotspotReport) -> None:
     del report._finding_nts
 
 
-def _run_cascade(
-    scope: Grammar, root: Nonterminal, hotspot: Hotspot, report: HotspotReport
-) -> list[Nonterminal]:
-    """The uncached cascade; fills ``report`` and returns, parallel to
-    ``report.findings``, the labeled nonterminal each finding is about."""
+def _cascade(
+    policy, scope: Grammar, root: Nonterminal, hotspot: Hotspot, report: HotspotReport
+) -> None:
+    """The uncached cascade of ``policy``: sample the sink string, check
+    every maximal labeled nonterminal, and fill ``report``.  Sets
+    ``report._finding_nts``, parallel to ``report.findings``, to the
+    labeled nonterminal each finding is about."""
     PERF.incr("policy.check_cascades")
     report.query_samples = scope.shortest_strings(root, limit=3)
     maximal = maximal_labeled(scope, root)
     findings: list[tuple[Nonterminal, Finding]] = []
     for labeled in maximal:
-        finding = check_nonterminal(scope, root, labeled, hotspot, others=maximal)
-        if not finding.safe and finding.witness and not finding.example_query:
-            finding.example_query = _example_query(
-                scope, root, labeled, maximal, finding.witness
-            )
-        findings.append((labeled, finding))
+        for finding in policy.check_labeled(
+            scope, root, labeled, hotspot, others=maximal
+        ):
+            findings.append((labeled, finding))
     # One untrusted source can appear as several automaton-state-split
     # nonterminals after refinement; they describe the same substring set
     # piecewise, so collapse findings with the same verdict shape.
     seen: dict[tuple, int] = {}
     kept_nts: list[Nonterminal] = []
     for labeled, finding in findings:
-        key = (finding.category, finding.check, finding.safe)
+        key = (finding.category, finding.check, finding.safe, finding.context)
         if key in seen:
             kept = report.findings[seen[key]]
             if finding.witness and not kept.witness:
                 kept.witness = finding.witness
+                kept.witness_unavailable = False
             continue
         seen[key] = len(report.findings)
         report.findings.append(finding)
         kept_nts.append(labeled)
     report._finding_nts = kept_nts  # consumed by _cached_from_report
-    return kept_nts
 
 
 def _cached_from_report(report: HotspotReport, order: list[Nonterminal]) -> dict:

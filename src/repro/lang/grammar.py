@@ -1006,7 +1006,9 @@ class Grammar:
 
         Memoized per (grammar revision, root): policy cascades run many
         intersection queries against one frozen scope subgrammar, and
-        every consumer (:class:`~repro.lang.intersect._PairTable`,
+        every consumer (the pair kernel,
+        :class:`~repro.lang.pairs.PairTable`, behind both
+        :func:`~repro.lang.intersect.intersect` and
         :func:`~repro.lang.image.fst_image`) treats the result as
         read-only.
         """

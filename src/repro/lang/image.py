@@ -3,27 +3,29 @@
 The string-taint analysis converts an extended production like
 ``x → escape_quotes(y)`` into ordinary productions by computing the image
 of the grammar rooted at ``y`` under the FST modeling ``escape_quotes``
-(paper §3.1.2).  The construction mirrors the CFG–FSA intersection
-(Figure 7): nonterminals become triples ``X_{pq}`` deriving *the outputs
-of* FST runs from state ``p`` to ``q`` over strings of ``X``, and
-``TAINTIF`` keeps the taint labels attached — the image of a tainted
-subgrammar is tainted.
+(paper §3.1.2).  The construction is the pair kernel of the CFG–FSA
+intersection (:mod:`repro.lang.pairs`) run over the FST's input side:
+nonterminals become triples ``X_{pq}`` deriving *the outputs of* FST
+runs from state ``p`` to ``q`` over strings of ``X``, and ``TAINTIF``
+keeps the taint labels attached — the image of a tainted subgrammar is
+tainted.
 
 Because FSTs may be nondeterministic, a literal terminal can map to a
 *set* of outputs per state pair; these become alternation productions.
 
 A construction runs in two steps.  The **plan** (:func:`plan_image`) is
-the pair fixpoint and the reachable-triple prepass: it decides which
-triples the image has without creating any of them.  The
-**materialization** (:func:`_materialize`) then builds the output
-grammar from the plan.  A caller that would only widen an oversized
-image can stop after the plan and take a :class:`DeferredImage` instead
-(DESIGN §5o).
+the kernel's pair fixpoint and reachable-triple prepass: it decides
+which triples the image has without creating any of them.  The
+**materialization** (:func:`_materialize`) then runs the kernel's
+materializer with the FST's output as the terminal rewrite.  A caller
+that would only widen an oversized image can stop after the plan and
+take a :class:`DeferredImage` instead (DESIGN §5o).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
+from typing import Iterable
 
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
@@ -31,6 +33,7 @@ from repro.obs.metrics import PERF
 from .charset import CharSet
 from .fst import FST, FSTExplosion, map_marker_charset, render_output
 from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol, closure_of
+from .pairs import Pair, PairTable, Triple, trim_materialized
 
 
 #: How one generated nonterminal's name derives from the input grammar:
@@ -323,18 +326,30 @@ def _rebind_image(
     return result, start
 
 
-class ImagePlan:
+class ImagePlan(PairTable):
     """The pair fixpoint and reachable-triple prepass of one image.
 
     ``pairs`` maps each normalized nonterminal to the ``(p, q)`` state
-    pairs its strings can cross; ``reachable`` is the set of triples
-    ``(X, p, q)`` the image keeps.  The call-local memos (literal runs,
-    terminal crossings, start-state indexes) are kept too, so
-    materializing later repeats none of the plan's work.
+    pairs of the FST's input side its strings can cross; ``reachable``
+    is the set of triples ``(X, p, q)`` the image keeps, and ``ends``
+    the accepting states the root reaches from the start state.  The
+    literal runs and terminal pair sets are kept too, so materializing
+    later repeats none of the plan's work.
     """
 
-    __slots__ = ("grammar", "root", "fst", "normalized", "pairs",
-                 "lit_cache", "term_cache", "starts_index", "reachable")
+    def __init__(self, grammar: Grammar, root: Nonterminal, fst: FST) -> None:
+        super().__init__(grammar.normalized(root), range(fst.num_states))
+        self.source = grammar
+        self.root = root
+        self.fst = fst
+        # Plan-local memo, freed with the plan: its size is bounded by
+        # (distinct literals in the input subgrammar) × states, so no
+        # global bound is needed — but its high-water mark is reported
+        # through a perf gauge so a pathological grammar shows up in
+        # --profile instead of as silent memory growth.
+        self.lit_cache: dict[tuple[str, int], dict[int, set[str]]] = {}
+        self.ends: list[int] = []
+        self.reachable: set[Triple] = set()
 
     @property
     def size(self) -> int:
@@ -351,188 +366,35 @@ class ImagePlan:
             runs = self.lit_cache[key] = _lit_runs(self.fst, text, p)
         return runs
 
-    def sym_pairs(self, symbol: Symbol) -> set[tuple[int, int]]:
-        if isinstance(symbol, Nonterminal):
-            return self.pairs[symbol]
-        key = id(symbol)
-        found = self.term_cache.get(key)
-        if found is None:
-            found = set()
-            if isinstance(symbol, Lit):
-                for p in range(self.fst.num_states):
-                    for q in self.lit_runs(symbol.text, p):
-                        found.add((p, q))
-            else:
-                for p in range(self.fst.num_states):
-                    for q in _charset_steps(self.fst, symbol, p):
-                        found.add((p, q))
-            self.term_cache[key] = found
-        return found
-
-    def by_first(self, symbol: Symbol) -> dict[int, list[int]]:
-        """``symbol``'s realizable pairs indexed by start state."""
-        key = id(symbol)
-        index = self.starts_index.get(key)
-        if index is None:
-            index = {}
-            for p2, mid in self.sym_pairs(symbol):
-                index.setdefault(p2, []).append(mid)
-            self.starts_index[key] = index
-        return index
+    def term_pairs(self, symbol: Symbol) -> Iterable[Pair]:
+        if isinstance(symbol, Lit):
+            for p in self.states:
+                for q in self.lit_runs(symbol.text, p):
+                    yield (p, q)
+        else:
+            for p in self.states:
+                for q in _charset_steps(self.fst, symbol, p):
+                    yield (p, q)
 
 
 def plan_image(grammar: Grammar, root: Nonterminal, fst: FST) -> ImagePlan:
     """Plan the image of ``L(grammar, root)`` under ``fst``: which state
     pairs each nonterminal crosses, and which triples survive."""
-    plan = ImagePlan()
-    plan.grammar = grammar
-    plan.root = root
-    plan.fst = fst
-    normalized = plan.normalized = grammar.normalized(root)
-    states = list(range(fst.num_states))
-
-    # ---- pair fixpoint (which (p, q) are realizable per nonterminal) ----
-    pairs: dict[Nonterminal, set[tuple[int, int]]] = defaultdict(set)
-    plan.pairs = pairs
-    # Plan-local memos, freed with the plan: their size is bounded by
-    # (distinct literals in the input subgrammar) × states, so no global
-    # bound is needed — but their high-water marks are reported through
-    # the perf gauges below so a pathological grammar shows up in
-    # --profile instead of as silent memory growth.
-    plan.lit_cache = {}
-    term_cache: dict[int, set[tuple[int, int]]] = {}
-    plan.term_cache = term_cache
-    plan.starts_index = {}
-    term_pairs = plan.sym_pairs
-
-    def sym_pairs(symbol: Symbol) -> set[tuple[int, int]]:
-        if isinstance(symbol, Nonterminal):
-            return pairs[symbol]
-        found = term_cache.get(id(symbol))
-        return found if found is not None else term_pairs(symbol)
-
-    rules = normalized.productions
-    # memoized on the (frozen) normalized grammar, shared across the
-    # transducer images taken of the same scope
-    occurrences = normalized._memo_get(("occ_lhs",))
-    if occurrences is None:
-        occurrences = defaultdict(list)
-        for lhs, rhss in rules.items():
-            for rhs in rhss:
-                for symbol in rhs:
-                    if isinstance(symbol, Nonterminal):
-                        occurrences[symbol].append(lhs)
-        normalized._memo_set(("occ_lhs",), occurrences)
-
-    # id(symbol) -> [pair-count at build time, start -> [ends]]; rebuilt
-    # only when the symbol's pair set has grown since the last build, so
-    # converged symbols stop paying the re-index cost every visit.
-    by_start_cache: dict[int, list] = {}
-
-    def by_start_of(symbol: Symbol) -> dict[int, list[int]]:
-        found = sym_pairs(symbol)
-        key = id(symbol)
-        cached = by_start_cache.get(key)
-        if cached is not None and cached[0] == len(found):
-            return cached[1]
-        index: dict[int, list[int]] = {}
-        for j, k in found:
-            index.setdefault(j, []).append(k)
-        by_start_cache[key] = [len(found), index]
-        return index
-
-    def eval_rhs(rhs: Rhs) -> set[tuple[int, int]]:
-        if not rhs:
-            return {(p, p) for p in states}
-        if len(rhs) == 1:
-            return set(sym_pairs(rhs[0]))
-        left = sym_pairs(rhs[0])
-        by_start = by_start_of(rhs[1])
-        out: set[tuple[int, int]] = set()
-        for i, j in left:
-            ks = by_start.get(j)
-            if ks:
-                for k in ks:
-                    out.add((i, k))
-        return out
-
-    worklist = list(rules)
-    queued = set(worklist)
-    iterations = 0
+    plan = ImagePlan(grammar, root, fst)
     with PERF.timer("image.fixpoint"):
-        while worklist:
-            iterations += 1
-            lhs = worklist.pop()
-            queued.discard(lhs)
-            added = False
-            target = pairs[lhs]
-            for rhs in rules.get(lhs, ()):
-                before = len(target)
-                target |= eval_rhs(rhs)
-                if len(target) != before:
-                    added = True
-            if added:
-                for parent in occurrences.get(lhs, ()):
-                    if parent not in queued:
-                        queued.add(parent)
-                        worklist.append(parent)
-    PERF.incr("image.fixpoint_iterations", iterations)
+        PERF.incr("image.fixpoint_iterations", plan.solve())
     PERF.gauge("image.lit_cache.max_size", len(plan.lit_cache))
-    PERF.gauge("image.term_cache.max_size", len(term_cache))
-
-    # ---- reachable-triple prepass ---------------------------------------
+    PERF.gauge("image.term_cache.max_size", len(plan.term_cache))
     # Only triples reachable from an accepting start pair survive the
-    # final trim, so materializing the rest is pure waste (the pair
-    # fixpoint makes every triple productive, hence trim keeps exactly
-    # the reachable set).  Walk the triple graph top-down *before*
-    # creating anything: a production of X_{pq} references Y_{p,mid} /
-    # B_{mid,q} only when both sides cross realizable pairs, which is
-    # decidable from the fixpoint alone.  The materialization then runs
-    # in its original order, skipping non-members — identical
-    # per-production order and identical relative creation order of
-    # everything the eager construction would have kept.
-    by_first = plan.by_first
+    # final trim, so the prepass decides them before anything is built.
     with PERF.timer("image.prepass"):
-        reachable_triples: set[tuple[Nonterminal, int, int]] = set()
-        stack: list[tuple[Nonterminal, int, int]] = []
-        for q in states:
-            if fst.is_accepting(q) and (fst.start, q) in pairs[root]:
-                entry = (root, fst.start, q)
-                if entry not in reachable_triples:
-                    reachable_triples.add(entry)
-                    stack.append(entry)
-        while stack:
-            lhs, p, q = stack.pop()
-            for rhs in rules.get(lhs, ()):
-                if not rhs:
-                    continue
-                if len(rhs) == 1:
-                    symbol = rhs[0]
-                    if isinstance(symbol, Nonterminal) and (p, q) in pairs[symbol]:
-                        succ = (symbol, p, q)
-                        if succ not in reachable_triples:
-                            reachable_triples.add(succ)
-                            stack.append(succ)
-                    continue
-                first, second = rhs
-                second_pairs = sym_pairs(second)
-                first_is_nt = isinstance(first, Nonterminal)
-                second_is_nt = isinstance(second, Nonterminal)
-                for mid in by_first(first).get(p, ()):
-                    if (mid, q) not in second_pairs:
-                        continue
-                    if first_is_nt:
-                        succ = (first, p, mid)
-                        if succ not in reachable_triples:
-                            reachable_triples.add(succ)
-                            stack.append(succ)
-                    if second_is_nt:
-                        succ = (second, mid, q)
-                        if succ not in reachable_triples:
-                            reachable_triples.add(succ)
-                            stack.append(succ)
-    plan.reachable = reachable_triples
-    PERF.gauge("image.reachable_triples", len(reachable_triples))
+        root_pairs = plan.pairs[root]
+        plan.ends = [
+            q for q in plan.states
+            if fst.is_accepting(q) and (fst.start, q) in root_pairs
+        ]
+        plan.reachable = plan.reachable_triples(root, fst.start, plan.ends)
+    PERF.gauge("image.reachable_triples", len(plan.reachable))
     return plan
 
 
@@ -546,8 +408,8 @@ def _summarize(plan: ImagePlan) -> tuple[CharSet, frozenset[str]]:
     realizable pair."""
     with PERF.timer("image.summary"):
         fst = plan.fst
-        rules = plan.normalized.productions
-        node_labels = plan.normalized.labels
+        rules = plan.grammar.productions
+        node_labels = plan.grammar.labels
         sym_pairs = plan.sym_pairs
         crossings: set[tuple[int, int, int]] = set()
         symbols: dict[int, Symbol] = {}
@@ -567,7 +429,7 @@ def _summarize(plan: ImagePlan) -> tuple[CharSet, frozenset[str]]:
                     if not (first_term or second_term):
                         continue
                     second_pairs = sym_pairs(second)
-                    for mid in plan.by_first(first).get(p, ()):
+                    for mid in plan.by_start(first).get(p, ()):
                         if (mid, q) not in second_pairs:
                             continue
                         if first_term:
@@ -589,9 +451,8 @@ def _summarize(plan: ImagePlan) -> tuple[CharSet, frozenset[str]]:
                         texts.add(item.text)
                     else:
                         charsets.add(item)
-        for q in range(fst.num_states):
-            if fst.is_accepting(q) and (fst.start, q) in plan.pairs[plan.root]:
-                texts.add(fst.final_output.get(q, ""))
+        for q in plan.ends:
+            texts.add(fst.final_output.get(q, ""))
         labels.update(node_labels.get(plan.root, ()))
         return closure_of(texts, charsets), frozenset(labels)
 
@@ -610,49 +471,30 @@ def _materialize(
 ) -> tuple[Grammar, Nonterminal, dict[Nonterminal, NameRecipe]]:
     """Build the trimmed image grammar ``plan`` describes, with the name
     recipe of every kept nonterminal (see :class:`ImageCache`)."""
-    grammar, root, fst = plan.grammar, plan.root, plan.fst
-    normalized = plan.normalized
-    pairs = plan.pairs
-    reachable_triples = plan.reachable
-    by_first = plan.by_first
-    lit_runs = plan.lit_runs
-    rules = normalized.productions
-    states = range(fst.num_states)
+    root, fst, normalized = plan.root, plan.fst, plan.grammar
     # name provenance for the cache: which input nonterminal each
     # generated name string derives from (chain variables inherit the
     # lhs they were split from)
-    input_ordinal = {nt: i for i, nt in enumerate(grammar.productions)}
+    input_ordinal = {nt: i for i, nt in enumerate(plan.source.productions)}
     chain_source: dict[Nonterminal, Nonterminal] = getattr(
         normalized, "_chain_source", {}
     )
     recipes: dict[Nonterminal, NameRecipe] = {}
-
-    materialize_timer = PERF.timer("image.materialize")
-    materialize_timer.__enter__()
     result = Grammar()
-    triple: dict[tuple[Nonterminal, int, int], Nonterminal] = {}
     term_triple: dict[tuple[int, int, int], Symbol | None] = {}
 
-    def get_triple(nt: Nonterminal, p: int, q: int) -> Nonterminal:
-        key = (nt, p, q)
-        if key not in triple:
-            fresh = result.fresh(f"{nt.name}/{p},{q}")
-            triple[key] = fresh
-            source = chain_source.get(nt)
-            base, suffix = (nt, f"/{p},{q}") if source is None else (
-                source, f"~/{p},{q}"
-            )
-            ordinal = input_ordinal.get(base)
-            recipes[fresh] = (
-                (ordinal, "{}" + suffix) if ordinal is not None
-                else (None, fresh.name)
-            )
-            # inlined add_label: ``fresh`` is already in productions and
-            # no memo has been taken on the result grammar yet
-            labels = normalized.labels.get(nt)
-            if labels:
-                result.labels[fresh] = set(labels)
-        return triple[key]
+    def mint(nt: Nonterminal, p: int, q: int) -> Nonterminal:
+        fresh = result.fresh(f"{nt.name}/{p},{q}")
+        source = chain_source.get(nt)
+        base, suffix = (nt, f"/{p},{q}") if source is None else (
+            source, f"~/{p},{q}"
+        )
+        ordinal = input_ordinal.get(base)
+        recipes[fresh] = (
+            (ordinal, "{}" + suffix) if ordinal is not None
+            else (None, fresh.name)
+        )
+        return fresh
 
     def term_symbol(symbol: Symbol, p: int, q: int) -> Symbol | None:
         """Output-side symbol for a terminal crossing (p, q), or None.
@@ -667,7 +509,7 @@ def _materialize(
             return cached
         out_symbol: Symbol | None
         if isinstance(symbol, Lit):
-            outputs = lit_runs(symbol.text, p).get(q)
+            outputs = plan.lit_runs(symbol.text, p).get(q)
             if not outputs:
                 out_symbol = None
             elif len(outputs) == 1:
@@ -694,110 +536,26 @@ def _materialize(
         term_triple[key] = out_symbol
         return out_symbol
 
-    def rhs_symbol(symbol: Symbol, p: int, q: int) -> Symbol | None:
-        if type(symbol) is Nonterminal:
-            if (p, q) in pairs[symbol]:
-                return get_triple(symbol, p, q)
-            return None
-        return term_symbol(symbol, p, q)
-
-    for lhs, rhss in rules.items():
-        # Pre-dispatch each rhs once per lhs instead of once per state
-        # pair: the (kind, symbols, start-index) tuples carry no side
-        # effects, so hoisting them leaves the creation order of every
-        # triple and wrapper unchanged.
-        prepared: list[tuple] | None = None
-        for p, q in pairs[lhs]:
-            if (lhs, p, q) not in reachable_triples:
-                continue
-            if prepared is None:
-                prepared = []
-                for rhs in rhss:
-                    if not rhs:
-                        prepared.append((0, None, None, None))
-                    elif len(rhs) == 1:
-                        prepared.append((1, rhs[0], None, None))
-                    else:
-                        first, second = rhs
-                        prepared.append((2, first, second, by_first(first)))
-            lhs_triple = get_triple(lhs, p, q)
-            bodies: list[Rhs] = []
-            for kind, first, second, index in prepared:
-                if kind == 2:
-                    for mid in index.get(p, ()):
-                        left = rhs_symbol(first, p, mid)
-                        right = rhs_symbol(second, mid, q)
-                        if left is not None and right is not None:
-                            bodies.append((left, right))
-                elif kind == 1:
-                    restricted = rhs_symbol(first, p, q)
-                    if restricted is not None:
-                        bodies.append((restricted,))
-                elif p == q:
-                    bodies.append(())
-            result._bulk_add(lhs_triple, bodies)
-
-    start = result.fresh(f"{root.name}»")
-    root_ordinal = input_ordinal.get(root)
-    recipes[start] = (
-        (root_ordinal, "{}»") if root_ordinal is not None else (None, start.name)
-    )
-    result.start = start
-    for label in normalized.labels.get(root, ()):
-        result.add_label(start, label)
-    for q in states:
-        if not fst.is_accepting(q):
-            continue
-        if (fst.start, q) not in pairs[root]:
-            continue
-        flush = fst.final_output.get(q, "")
-        body: Rhs = (get_triple(root, fst.start, q),)
-        if flush:
-            body = body + (Lit(flush),)
-        result.add(start, body)
-    materialize_timer.__exit__(None, None, None)
+    with PERF.timer("image.materialize"):
+        get_triple = plan.materialize(result, plan.reachable, mint, term_symbol)
+        start = result.fresh(f"{root.name}»")
+        root_ordinal = input_ordinal.get(root)
+        recipes[start] = (
+            (root_ordinal, "{}»") if root_ordinal is not None else (None, start.name)
+        )
+        result.start = start
+        for label in normalized.labels.get(root, ()):
+            result.add_label(start, label)
+        for q in plan.ends:
+            flush = fst.final_output.get(q, "")
+            body: Rhs = (get_triple(root, fst.start, q),)
+            if flush:
+                body = body + (Lit(flush),)
+            result.add(start, body)
     with PERF.timer("image.trim"):
-        trimmed = _image_trim(result, start)
+        trimmed = trim_materialized(result, start)
     kept_recipes = {nt: recipes[nt] for nt in trimmed.productions}
     return trimmed, start, kept_recipes
-
-
-def _image_trim(result: Grammar, start: Nonterminal) -> Grammar:
-    """``result.trim(start)`` specialized to freshly materialized images
-    (and to the reachable-only products of :mod:`repro.lang.intersect`).
-
-    The reachable-triple prepass guarantees every materialized triple is
-    productive and reachable from ``start``, and ``fresh()`` inserts
-    nonterminals into the production dict at creation, so the insertion
-    order already equals the uid order ``trim`` would sort into.  What a
-    full trim actually removes here is only (a) orphan triples — created
-    on first reference from a production body that was then dropped
-    because its other side had no realizable crossing — which have empty
-    rule lists, and (b) orphan multi-output terminal wrappers, which
-    have rules but are referenced by no surviving body.  Both are
-    recognized with one linear pass instead of the reachable/productive
-    fixpoints.
-    """
-    if not result.productions.get(start):
-        # empty language (no accepting crossing): defer to the general
-        # trim for the exact degenerate shape
-        return result.trim(start)
-    referenced: set[Nonterminal] = set()
-    for rules in result.productions.values():
-        for rhs in rules:
-            for s in rhs:
-                if type(s) is Nonterminal:
-                    referenced.add(s)
-    trimmed = Grammar(start)
-    productions = trimmed.productions
-    nrules = 0
-    for nt, rules in result.productions.items():
-        if rules and (nt in referenced or nt is start):
-            productions[nt] = rules
-            nrules += len(rules)
-    trimmed._nrules = nrules
-    trimmed.copy_labels_from(result, productions)
-    return trimmed
 
 
 def regular_image(charset: CharSet, fst: FST) -> tuple[Grammar, Nonterminal]:

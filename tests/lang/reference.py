@@ -238,19 +238,55 @@ def ref_parse_sentential_form(
 
 
 # ---------------------------------------------------------------------------
+# the pair fixpoint, solved naively
+# ---------------------------------------------------------------------------
+
+
+def _round_robin_pairs(rules, states, pairs, sym_pairs) -> None:
+    """Fill ``pairs`` (a ``defaultdict(set)``) with the least solution of
+    the pair equations of the normalized ``rules``: sweep every rule in
+    order until a whole sweep adds nothing.  ``sym_pairs`` gives the
+    pairs of any symbol, reading ``pairs`` for nonterminals."""
+    from collections import defaultdict
+
+    def eval_rhs(rhs) -> set[tuple[int, int]]:
+        if not rhs:
+            return {(p, p) for p in states}
+        if len(rhs) == 1:
+            return set(sym_pairs(rhs[0]))
+        left, right = sym_pairs(rhs[0]), sym_pairs(rhs[1])
+        by_start: dict[int, list[int]] = defaultdict(list)
+        for j, k in right:
+            by_start[j].append(k)
+        return {(i, k) for i, j in left for k in by_start.get(j, ())}
+
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhss in rules.items():
+            for rhs in rhss:
+                new_pairs = eval_rhs(rhs) - pairs[lhs]
+                if new_pairs:
+                    pairs[lhs].update(new_pairs)
+                    changed = True
+
+
+# ---------------------------------------------------------------------------
 # the original eager FST-image construction
 # ---------------------------------------------------------------------------
 
 
 def ref_fst_image(grammar, root, fst):
-    """The original (pre-optimization) image construction: eager pair
+    """The original (pre-optimization) image construction: naive pair
     fixpoint over every nonterminal, full triple materialization, then a
     trim.  Returns ``(result, start)``.
 
-    Used by the equivalence tests to validate the lazy implementation:
-    the trimmed results must have equal canonical fingerprints (the
-    strongest equality the analysis itself relies on — same language,
-    same labels, same deterministic downstream behaviour).
+    The eager build creates some kept triples and terminal wrappers
+    earlier than a reachable-only one, on first reference from a body of
+    a triple the trim drops.  So the result is built a second time with
+    only the triples the first trim kept as left-hand sides: the creation
+    order, and hence the names, the production order and the rule order,
+    that the analysis's reachable-only construction promises.
     """
     from collections import defaultdict
 
@@ -318,133 +354,172 @@ def ref_fst_image(grammar, root, fst):
         return term_cache[key]
 
     rules = normalized.productions
+    _round_robin_pairs(rules, states, pairs, sym_pairs)
 
-    def eval_rhs(rhs: Rhs) -> set[tuple[int, int]]:
-        if not rhs:
-            return {(p, p) for p in states}
-        if len(rhs) == 1:
-            return set(sym_pairs(rhs[0]))
-        left, right = sym_pairs(rhs[0]), sym_pairs(rhs[1])
-        by_start: dict[int, list[int]] = defaultdict(list)
-        for j, k in right:
-            by_start[j].append(k)
-        return {(i, k) for i, j in left for k in by_start.get(j, ())}
+    def build(kept):
+        """Materialize the triples of ``kept`` (every triple if None)
+        in rule order, then pair-set order; trim."""
+        result = Grammar()
+        triple: dict[tuple[NT, int, int], NT] = {}
+        term_triple: dict[tuple[int, int, int], NT] = {}
 
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhss in rules.items():
-            for rhs in rhss:
-                new_pairs = eval_rhs(rhs) - pairs[lhs]
-                if new_pairs:
-                    pairs[lhs].update(new_pairs)
-                    changed = True
+        def get_triple(nt, p: int, q: int):
+            key = (nt, p, q)
+            if key not in triple:
+                fresh = result.fresh(f"{nt.name}/{p},{q}")
+                triple[key] = fresh
+                for label in normalized.labels.get(nt, ()):
+                    result.add_label(fresh, label)
+            return triple[key]
 
-    result = Grammar()
-    triple: dict[tuple[NT, int, int], NT] = {}
-    term_triple: dict[tuple[int, int, int], NT] = {}
-
-    def get_triple(nt, p: int, q: int):
-        key = (nt, p, q)
-        if key not in triple:
-            fresh = result.fresh(f"{nt.name}/{p},{q}")
-            triple[key] = fresh
-            for label in normalized.labels.get(nt, ()):
-                result.add_label(fresh, label)
-        return triple[key]
-
-    def term_symbol(symbol, p: int, q: int):
-        key = (id(symbol), p, q)
-        if key in term_triple:
-            return term_triple[key]
-        if isinstance(symbol, Lit):
-            outputs = lit_runs(symbol.text, p).get(q)
-            if not outputs:
+        def term_symbol(symbol, p: int, q: int):
+            key = (id(symbol), p, q)
+            if key in term_triple:
+                return term_triple[key]
+            if isinstance(symbol, Lit):
+                outputs = lit_runs(symbol.text, p).get(q)
+                if not outputs:
+                    return None
+                if len(outputs) == 1:
+                    return Lit(next(iter(outputs)))
+                wrapper = result.fresh(f"lit/{p},{q}")
+                for out in sorted(outputs):
+                    result.add(wrapper, (Lit(out),) if out else ())
+                term_triple[key] = wrapper
+                return wrapper
+            sequences = charset_steps(symbol, p).get(q)
+            if not sequences:
                 return None
-            if len(outputs) == 1:
-                return Lit(next(iter(outputs)))
-            wrapper = result.fresh(f"lit/{p},{q}")
-            for out in sorted(outputs):
-                result.add(wrapper, (Lit(out),) if out else ())
+            if len(sequences) == 1 and len(sequences[0]) == 1:
+                return sequences[0][0]
+            wrapper = result.fresh(f"cls/{p},{q}")
+            for seq in sequences:
+                result.add(wrapper, seq)
             term_triple[key] = wrapper
             return wrapper
-        sequences = charset_steps(symbol, p).get(q)
-        if not sequences:
+
+        def rhs_symbol(symbol, p: int, q: int):
+            if is_terminal(symbol):
+                return term_symbol(symbol, p, q)
+            if (p, q) in pairs[symbol]:
+                return get_triple(symbol, p, q)
             return None
-        if len(sequences) == 1 and len(sequences[0]) == 1:
-            return sequences[0][0]
-        wrapper = result.fresh(f"cls/{p},{q}")
-        for seq in sequences:
-            result.add(wrapper, seq)
-        term_triple[key] = wrapper
-        return wrapper
 
-    def rhs_symbol(symbol, p: int, q: int):
-        if is_terminal(symbol):
-            return term_symbol(symbol, p, q)
-        if (p, q) in pairs[symbol]:
-            return get_triple(symbol, p, q)
-        return None
-
-    for lhs, rhss in rules.items():
-        for p, q in pairs[lhs]:
-            lhs_triple = get_triple(lhs, p, q)
-            for rhs in rhss:
-                if not rhs:
-                    if p == q:
-                        result.add(lhs_triple, ())
+        for lhs, rhss in rules.items():
+            for p, q in pairs[lhs]:
+                if kept is not None and (lhs, p, q) not in kept:
                     continue
-                if len(rhs) == 1:
-                    restricted = rhs_symbol(rhs[0], p, q)
-                    if restricted is not None:
-                        result.add(lhs_triple, (restricted,))
-                    continue
-                first, second = rhs
-                for p2, mid in sym_pairs(first):
-                    if p2 != p:
+                lhs_triple = get_triple(lhs, p, q)
+                for rhs in rhss:
+                    if not rhs:
+                        if p == q:
+                            result.add(lhs_triple, ())
                         continue
-                    left = rhs_symbol(first, p, mid)
-                    right = rhs_symbol(second, mid, q)
-                    if left is not None and right is not None:
-                        result.add(lhs_triple, (left, right))
+                    if len(rhs) == 1:
+                        restricted = rhs_symbol(rhs[0], p, q)
+                        if restricted is not None:
+                            result.add(lhs_triple, (restricted,))
+                        continue
+                    first, second = rhs
+                    for p2, mid in sym_pairs(first):
+                        if p2 != p:
+                            continue
+                        left = rhs_symbol(first, p, mid)
+                        right = rhs_symbol(second, mid, q)
+                        if left is not None and right is not None:
+                            result.add(lhs_triple, (left, right))
 
-    start = result.fresh(f"{root.name}»")
-    result.start = start
-    for label in normalized.labels.get(root, ()):
-        result.add_label(start, label)
-    for q in states:
-        if not fst.is_accepting(q):
-            continue
-        if (fst.start, q) not in pairs[root]:
-            continue
-        flush = fst.final_output.get(q, "")
-        body: Rhs = (get_triple(root, fst.start, q),)
-        if flush:
-            body = body + (Lit(flush),)
-        result.add(start, body)
-    return result.trim(start), start
+        start = result.fresh(f"{root.name}»")
+        result.start = start
+        for label in normalized.labels.get(root, ()):
+            result.add_label(start, label)
+        for q in states:
+            if not fst.is_accepting(q):
+                continue
+            if (fst.start, q) not in pairs[root]:
+                continue
+            flush = fst.final_output.get(q, "")
+            body: Rhs = (get_triple(root, fst.start, q),)
+            if flush:
+                body = body + (Lit(flush),)
+            result.add(start, body)
+        return result.trim(start), start, triple
+
+    eager, _, triple = build(None)
+    result, start, _ = build(
+        {key for key, nt in triple.items() if nt in eager.productions}
+    )
+    return result, start
 
 
-# ---------------------------------------------------------------------------
-# the original eager CFG ∩ DFA construction (paper Figure 7)
-# ---------------------------------------------------------------------------
+def _dfa_term_pairs(dfa, states):
+    """The DFA terminal step: the pairs each terminal crosses, per symbol."""
+    from repro.lang.grammar import Lit
+
+    term_cache: dict[int, set[tuple[int, int]]] = {}
+
+    def term_pairs(symbol) -> set[tuple[int, int]]:
+        key = id(symbol)
+        if key not in term_cache:
+            found = set()
+            for i in states:
+                if isinstance(symbol, Lit):
+                    j = dfa.run_string(i, symbol.text)
+                    if j is not None:
+                        found.add((i, j))
+                    continue
+                for label, j in dfa.transitions.get(i, ()):
+                    if symbol.overlaps(label):
+                        found.add((i, j))
+            term_cache[key] = found
+        return term_cache[key]
+
+    return term_pairs
 
 
-def ref_intersect(grammar, root, dfa):
+def ref_intersect_pairs(grammar, dfa) -> dict:
+    """The pair sets of every nonterminal of ``grammar.normalized()``
+    against ``dfa``, from a naive fixpoint that shares no code with the
+    analysis's pair kernel: it sweeps every rule until nothing changes,
+    and its terminal step runs the DFA directly."""
+    from collections import defaultdict
+
+    from repro.lang.grammar import Nonterminal as NT
+
+    states = sorted(dfa.live_states())
+    term_pairs = _dfa_term_pairs(dfa, states)
+    pairs: dict = defaultdict(set)
+
+    def sym_pairs(symbol):
+        return pairs[symbol] if isinstance(symbol, NT) else term_pairs(symbol)
+
+    _round_robin_pairs(grammar.normalized().productions, states, pairs, sym_pairs)
+    return pairs
+
+
+def ref_intersect(grammar, root, dfa, pairs=None):
     """The original (pre-optimization) intersection: a triple for every
     (nonterminal, realizable pair) of the normalized scope, then a full
     trim.  Returns ``(result, start)``.
 
-    The pair fixpoint is the analysis's own; what this checks is the
-    materialization.  The optimized build must give every kept triple
-    the same name, labels and rules in the same order.
+    The pairs come from :func:`ref_intersect_pairs` unless ``pairs`` is
+    given.  Rule order within a triple follows the pair sets' iteration
+    order, which depends on how a fixpoint inserted them, so pass the
+    analysis's own solved pairs to check that the optimized build gives
+    every kept triple the same name, labels and rules in the same order.
     """
+    from repro.lang.charset import CharSet
     from repro.lang.grammar import Grammar, Lit
     from repro.lang.grammar import Nonterminal as NT
-    from repro.lang.intersect import _PairTable
 
-    table = _PairTable(grammar, dfa)
-    normalized = table.grammar
+    normalized = grammar.normalized()
+    if pairs is None:
+        pairs = ref_intersect_pairs(grammar, dfa)
+    term_pairs = _dfa_term_pairs(dfa, sorted(dfa.live_states()))
+
+    def sym_pairs(symbol):
+        return pairs[symbol] if isinstance(symbol, NT) else term_pairs(symbol)
+
     result = Grammar()
     triple = {}
 
@@ -459,14 +534,17 @@ def ref_intersect(grammar, root, dfa):
 
     def rhs_symbol(symbol, i, j):
         if isinstance(symbol, NT):
-            return get_triple(symbol, i, j) if (i, j) in table.pairs[symbol] else None
+            return get_triple(symbol, i, j) if (i, j) in pairs[symbol] else None
         if isinstance(symbol, Lit):
-            return symbol if table.lit_target(symbol.text, i) == j else None
-        refined = table.charset_refined(symbol, i, j)
+            return symbol if dfa.run_string(i, symbol.text) == j else None
+        refined = CharSet.empty()
+        for label, dst in dfa.transitions.get(i, ()):
+            if dst == j:
+                refined = refined.union(symbol.intersect(label))
         return refined if refined else None
 
     for lhs, rhss in normalized.productions.items():
-        for i, j in table.pairs[lhs]:
+        for i, j in pairs[lhs]:
             lhs_triple = get_triple(lhs, i, j)
             for rhs in rhss:
                 if not rhs:
@@ -478,7 +556,7 @@ def ref_intersect(grammar, root, dfa):
                         result.add(lhs_triple, (restricted,))
                 else:
                     first, second = rhs
-                    for i2, mid in table.symbol_pairs(first):
+                    for i2, mid in sym_pairs(first):
                         if i2 != i:
                             continue
                         left = rhs_symbol(first, i, mid)
@@ -491,7 +569,7 @@ def ref_intersect(grammar, root, dfa):
     for label in normalized.labels.get(root, ()):
         result.add_label(start, label)
     for qf in dfa.accepts:
-        if (dfa.start, qf) in table.pairs[root]:
+        if (dfa.start, qf) in pairs[root]:
             result.add(start, (get_triple(root, dfa.start, qf),))
     return result.trim(start), start
 

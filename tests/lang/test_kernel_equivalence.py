@@ -182,6 +182,12 @@ class TestImageReference:
         fast, fast_start = fst_image(g, g.start, fst)
         slow, slow_start = ref.ref_fst_image(g, g.start, fst)
         assert fast.fingerprint(fast_start) == slow.fingerprint(slow_start)
+        # fingerprints are canonical and ignore creation order; names and
+        # rule order are what witnesses and samples depend on
+        assert _rules_by_name(fast) == _rules_by_name(slow)
+        assert [nt.name for nt in fast.productions] == [
+            nt.name for nt in slow.productions
+        ]
 
     @given(random_grammar(), st.sampled_from(FSTS))
     @settings(max_examples=30, deadline=None)
@@ -209,7 +215,7 @@ class TestOnePassTrims:
     @given(random_grammar(), st.sampled_from(FSTS))
     @settings(max_examples=40, deadline=None)
     def test_image_trim_is_idempotent(self, g, fst):
-        # _image_trim replaced the full trim inside fst_image; a second,
+        # trim_materialized replaced the full trim inside fst_image; a second,
         # full trim of its output must be the identity
         img, start = fst_image(g, g.start, fst)
         assert _same_grammar(img.trim(start), img)
@@ -289,9 +295,10 @@ class TestIntersectReference:
         """Building only the triples reachable from an accepting start
         pair keeps every kept triple's name, labels and rules, for the
         scope start and every other root."""
+        pairs = _pair_table(g, dfa).pairs
         for root in list(g.productions):
             fast, fast_start = intersect(g, root, dfa)
-            slow, slow_start = ref.ref_intersect(g, root, dfa)
+            slow, slow_start = ref.ref_intersect(g, root, dfa, pairs=pairs)
             assert fast_start.name == slow_start.name
             assert _rules_by_name(fast) == _rules_by_name(slow)
             assert fast.sample_strings(fast_start, limit=1) == slow.sample_strings(
@@ -300,6 +307,34 @@ class TestIntersectReference:
             assert intersection_is_empty(g, root, dfa) == (
                 not slow.productions.get(slow_start)
             )
+
+
+    @given(intersect_case(), st.sampled_from(DFAS))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_fixpoint_matches_naive(self, g, dfa):
+        """The kernel's worklist fixpoint reaches the same pair sets as a
+        naive round-robin one; built from those, every root's product has
+        the same triples with the same rules (up to rule order, which
+        follows each fixpoint's insertion order) and the same language."""
+        naive = ref.ref_intersect_pairs(g, dfa)
+        solved = _pair_table(g, dfa).pairs
+        assert {nt: s for nt, s in solved.items() if s} == {
+            nt: s for nt, s in naive.items() if s
+        }
+
+        def rule_sets(grammar):
+            return [
+                (name, sorted(rules), labels)
+                for name, rules, labels in _rules_by_name(grammar)
+            ]
+
+        for root in list(g.productions):
+            fast, fast_start = intersect(g, root, dfa)
+            slow, slow_start = ref.ref_intersect(g, root, dfa)
+            assert fast_start.name == slow_start.name
+            assert rule_sets(fast) == rule_sets(slow)
+            for text in fast.sample_strings(fast_start, limit=2, max_len=20):
+                assert ref.ref_generates(slow, slow_start, text), text
 
 
 # -- one pair table per (scope, automaton) vs. one per root -------------------

@@ -101,13 +101,15 @@ class GrammarBuilder:
         event.update(extra)
         return event
 
-    def _prov_sample(self, nt: Nonterminal) -> str:
-        """A short non-empty example string of ``L(nt)`` (or "")."""
+    def _prov_sample(self, source: Nonterminal | DeferredImage) -> str:
+        """A short non-empty example string of ``L(source)`` (or ""); of
+        a deferred image, the one its forced alias would give."""
         with PERF.timer("provenance.samples"):
-            for text in self.grammar.sample_strings(nt, limit=3, max_len=48):
-                if text:
-                    return text
-        return ""
+            if isinstance(source, DeferredImage):
+                texts = source.sample(limit=3, max_len=48)
+            else:
+                texts = self.grammar.sample_strings(source, limit=3, max_len=48)
+        return next((text for text in texts if text), "")
 
     def taint_through(
         self,
@@ -392,28 +394,20 @@ class GrammarBuilder:
 
     def settle(self, roots: Iterable[Nonterminal]) -> None:
         """End of phase 1: force every deferred image the hotspot
-        queries ``roots`` reach over productions or ``prov_inputs``
-        edges (a finding's provenance reads the image's origin event),
-        then drop the plans of the rest.  Those keep their stand-in; a
-        later :meth:`force` re-plans them."""
+        queries ``roots`` reach over productions.  An image they reach
+        only over ``prov_inputs`` edges is read by a finding's
+        provenance alone, through its origin event: fill in its
+        ``after`` sample from the plan and keep the stand-in.  Then drop
+        every plan; a later :meth:`force` re-plans."""
         if not self._deferred:
             return
-        grammar = self.grammar
-        seen = set(roots)
-        stack = list(seen)
-        while stack:
-            nt = stack.pop()
-            for rhs in grammar.productions.get(nt, ()):
-                for symbol in rhs:
-                    if type(symbol) is Nonterminal and symbol not in seen:
-                        seen.add(symbol)
-                        stack.append(symbol)
-            for symbol in grammar.prov_inputs.get(nt, ()):
-                if symbol not in seen:
-                    seen.add(symbol)
-                    stack.append(symbol)
-        for alias in sorted(self._deferred.keys() & seen):
+        derived = _reach(self.grammar, roots, inputs=False)
+        traced = _reach(self.grammar, derived, inputs=True)
+        for alias in sorted(self._deferred.keys() & derived):
             self._force_one(alias)
+        for alias in sorted(self._deferred.keys() & traced):
+            pending = self._deferred[alias]
+            pending.event["after"] = self._prov_sample(pending.image)
         for pending in self._deferred.values():
             pending.image.release()
 
@@ -503,3 +497,25 @@ class GrammarBuilder:
 
     def sample(self, value: StrVal, limit: int = 10) -> list[str]:
         return self.grammar.sample_strings(self.force(value).nt, limit=limit)
+
+
+def _reach(
+    grammar: Grammar, roots: Iterable[Nonterminal], inputs: bool
+) -> set[Nonterminal]:
+    """What ``roots`` reach over productions, and over ``prov_inputs``
+    edges too when ``inputs``."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        nt = stack.pop()
+        for rhs in grammar.productions.get(nt, ()):
+            for symbol in rhs:
+                if type(symbol) is Nonterminal and symbol not in seen:
+                    seen.add(symbol)
+                    stack.append(symbol)
+        if inputs:
+            for symbol in grammar.prov_inputs.get(nt, ()):
+                if symbol not in seen:
+                    seen.add(symbol)
+                    stack.append(symbol)
+    return seen

@@ -150,7 +150,11 @@ class PairTable:
     # -- 2. reachable-triple prepass -----------------------------------------
 
     def reachable_triples(
-        self, root: Nonterminal, start: int, ends: Iterable[int]
+        self,
+        root: Nonterminal,
+        start: int,
+        ends: Iterable[int],
+        crossings: dict[tuple[int, int, int], Symbol] | None = None,
     ) -> set[Triple]:
         """The triples reachable top-down from ``(root, start, q)`` for
         every accepting ``q`` in ``ends``.
@@ -159,6 +163,11 @@ class PairTable:
         when both sides cross solved pairs, which the table decides
         alone.  The fixpoint made every triple productive, so these are
         exactly the triples a full trim of the eager product would keep.
+
+        With ``crossings``, the walk also records the terminal crossings
+        of the kept bodies, keyed ``(id(t), i, j)``: a lone terminal's
+        under its triple's own pair (whether or not it crosses it), and
+        each terminal side of a kept two-symbol body.
         """
         pairs = self.pairs
         members: set[Triple] = set()
@@ -173,16 +182,20 @@ class PairTable:
                     continue
                 if len(rhs) == 1:
                     symbol = rhs[0]
-                    if type(symbol) is Nonterminal and (i, j) in pairs[symbol]:
-                        succ = (symbol, i, j)
-                        if succ not in members:
-                            members.add(succ)
-                            stack.append(succ)
+                    if type(symbol) is Nonterminal:
+                        if (i, j) in pairs[symbol]:
+                            succ = (symbol, i, j)
+                            if succ not in members:
+                                members.add(succ)
+                                stack.append(succ)
+                    elif crossings is not None:
+                        crossings[(id(symbol), i, j)] = symbol
                     continue
                 first, second = rhs
                 second_pairs = self.sym_pairs(second)
                 first_is_nt = type(first) is Nonterminal
                 second_is_nt = type(second) is Nonterminal
+                collect = crossings is not None and not (first_is_nt and second_is_nt)
                 for mid in self.by_start(first).get(i, ()):
                     if (mid, j) not in second_pairs:
                         continue
@@ -196,6 +209,11 @@ class PairTable:
                         if succ not in members:
                             members.add(succ)
                             stack.append(succ)
+                    if collect:
+                        if not first_is_nt:
+                            crossings[(id(first), i, mid)] = first
+                        if not second_is_nt:
+                            crossings[(id(second), mid, j)] = second
         return members
 
     # -- 3. materialization --------------------------------------------------
@@ -242,6 +260,8 @@ class PairTable:
                 return None
             return term_symbol(symbol, i, j)
 
+        bodies = self.bodies
+        add = result._bulk_add
         for lhs, rhss in normalized.productions.items():
             # Pre-dispatch each rhs once per lhs instead of once per state
             # pair; the prepared tuples carry no side effects, so hoisting
@@ -251,32 +271,51 @@ class PairTable:
                 if (lhs, i, j) not in members:
                     continue
                 if prepared is None:
-                    prepared = []
-                    for rhs in rhss:
-                        if not rhs:
-                            prepared.append((0, None, None, None))
-                        elif len(rhs) == 1:
-                            prepared.append((1, rhs[0], None, None))
-                        else:
-                            first, second = rhs
-                            prepared.append((2, first, second, self.by_start(first)))
+                    prepared = self.dispatch(rhss)
                 lhs_triple = get_triple(lhs, i, j)
-                bodies: list[Rhs] = []
-                for kind, first, second, index in prepared:
-                    if kind == 2:
-                        for mid in index.get(i, ()):
-                            left = rhs_symbol(first, i, mid)
-                            right = rhs_symbol(second, mid, j)
-                            if left is not None and right is not None:
-                                bodies.append((left, right))
-                    elif kind == 1:
-                        restricted = rhs_symbol(first, i, j)
-                        if restricted is not None:
-                            bodies.append((restricted,))
-                    elif i == j:
-                        bodies.append(())
-                result._bulk_add(lhs_triple, bodies)
+                add(lhs_triple, bodies(prepared, i, j, rhs_symbol))
         return get_triple
+
+    def dispatch(self, rhss: Sequence[Rhs]) -> list[tuple]:
+        """One nonterminal's rules pre-dispatched for :meth:`bodies`."""
+        prepared = []
+        for rhs in rhss:
+            if not rhs:
+                prepared.append((0, None, None, None))
+            elif len(rhs) == 1:
+                prepared.append((1, rhs[0], None, None))
+            else:
+                first, second = rhs
+                prepared.append((2, first, second, self.by_start(first)))
+        return prepared
+
+    @staticmethod
+    def bodies(
+        prepared: list[tuple],
+        i: int,
+        j: int,
+        rhs_symbol: Callable[[Symbol, int, int], Symbol | None],
+    ) -> list[Rhs]:
+        """The bodies of triple ``X_{ij}``, in rule order then pair-set
+        order, from ``X``'s rules as :meth:`dispatch` prepared them.
+        ``rhs_symbol(s, i, j)`` writes out one side of a body, or is
+        None when ``s`` does not cross ``(i, j)`` and the body is
+        dropped."""
+        bodies: list[Rhs] = []
+        for kind, first, second, index in prepared:
+            if kind == 2:
+                for mid in index.get(i, ()):
+                    left = rhs_symbol(first, i, mid)
+                    right = rhs_symbol(second, mid, j)
+                    if left is not None and right is not None:
+                        bodies.append((left, right))
+            elif kind == 1:
+                restricted = rhs_symbol(first, i, j)
+                if restricted is not None:
+                    bodies.append((restricted,))
+            elif i == j:
+                bodies.append(())
+        return bodies
 
 
 def trim_materialized(result: Grammar, start: Nonterminal) -> Grammar:

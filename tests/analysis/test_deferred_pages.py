@@ -36,16 +36,18 @@ CHAIN = "$t = 'Hello ' . $_GET['name'];\n" + "".join(
 DEFERRED = 2
 
 #: page → (code after the chain, images forced with the SQL policy
-#: alone, images forced with every policy).  A hotspot forces both
-#: images: the seventh through productions, the fifth through the
-#: provenance edge of the sixth's widening.  An include path or strrev
-#: forces only the image its value derives from, the seventh.
+#: alone, images forced with every policy).  A hotspot forces the
+#: seventh image, which it reaches through productions.  It reaches the
+#: fifth only through the provenance edge of the sixth's widening, so
+#: the fifth stays unbuilt and its sanitizer event's ``after`` sample
+#: comes from its plan.  An include path or strrev forces only the image
+#: its value derives from, the seventh.
 PAGES = {
     "query.php": (
-        "mysql_query(\"SELECT * FROM t WHERE n = '\" . $v . \"'\");\n", 2, 2
+        "mysql_query(\"SELECT * FROM t WHERE n = '\" . $v . \"'\");\n", 1, 1
     ),
-    "echoed.php": ("echo '<p>' . $v . '</p>';\n", 0, 2),
-    "included.php": ("include 'inc/' . $v . '.php';\n", 1, 2),
+    "echoed.php": ("echo '<p>' . $v . '</p>';\n", 0, 1),
+    "included.php": ("include 'inc/' . $v . '.php';\n", 1, 1),
     "reversed.php": ("$r = strrev($v);\n", 1, 1),
     "unread.php": ("mysql_query('SELECT 1');\n", 0, 0),
 }

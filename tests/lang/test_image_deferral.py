@@ -1,5 +1,6 @@
 """Deferred transducer images: the plan's summary is exact, its size
-bound is a lower bound, and a forced image is the eager one.
+bound is a lower bound, its samples are the built image's, and a forced
+image is the eager one.
 
 Random grammars over {a, b} (with ε rules, unit cycles and labels)
 meet transducers covering COPY and LOWER charset outputs, deletions,
@@ -15,13 +16,17 @@ from repro.analysis.absdom import GrammarBuilder
 from repro.lang.charset import CharSet
 from repro.lang.fst import COPY, FST
 from repro.lang.grammar import DIRECT, INDIRECT, Grammar, Lit
+from repro.analysis.provenance import trace_provenance
 from repro.lang.image import (
+    _ALIAS,
     IMAGE_CACHE,
     DeferredImage,
+    _plan_view,
     _summarize,
     fst_image,
     plan_image,
 )
+from repro.obs.metrics import PERF
 
 LEAF = st.one_of(
     st.sampled_from([Lit("a"), Lit("b"), Lit("ab"), Lit("bA")]),
@@ -83,7 +88,7 @@ class TestPlanSummary:
     def test_summary_is_exact_and_size_is_a_lower_bound(self, g, fst):
         IMAGE_CACHE.clear()
         image, start = fst_image(g, g.start, fst)
-        plan = plan_image(g, g.start, fst)
+        plan = plan_image(g, g.start, fst, summarize=True)
         closure, labels = _summarize(plan)
         assert closure == image.charset_closure(start)
         assert labels == _label_union(image)
@@ -108,6 +113,72 @@ class TestPlanSummary:
             assert _shape(built, start) == _shape(eager, eager_start)
             rebuilt, restart = again.build()
             assert _shape(rebuilt, restart) == _shape(eager, eager_start)
+
+
+class TestPlanSample:
+    """``DeferredImage.sample`` is ``sample_strings`` of the alias the
+    forced image leaves (``alias → start``), whatever it samples: the
+    saved plan, a plan made again on a summary-only memo hit, the memo
+    entry's samples, or a built memo entry."""
+
+    @given(labeled_grammar(), st.sampled_from(FSTS))
+    @settings(max_examples=80, deadline=None)
+    def test_sample_is_the_built_images(self, g, fst):
+        IMAGE_CACHE.clear()
+        eager, eager_start = fst_image(g, g.start, fst)
+        alias = eager.fresh("alias")
+        eager.add(alias, (eager_start,))
+        for limit, max_len in ((3, 48), (20, 200)):
+            expected = eager.sample_strings(alias, limit, max_len)
+            IMAGE_CACHE.clear()
+            planned = fst_image(g, g.start, fst, defer_above=0)
+            planned.release()
+            planless = fst_image(g, g.start, fst, defer_above=0)
+            assert isinstance(planless, DeferredImage)
+            assert planless.sample(limit, max_len) == expected
+            IMAGE_CACHE.clear()
+            planned = fst_image(g, g.start, fst, defer_above=0)
+            assert planned.sample(limit, max_len) == expected
+            # a later deferral reads the memo entry's samples
+            assert fst_image(
+                g, g.start, fst, defer_above=0
+            ).sample(limit, max_len) == expected
+            IMAGE_CACHE.clear()
+            fst_image(g, g.start, fst)
+            built = fst_image(g, g.start, fst, defer_above=0)
+            assert built.sample(limit, max_len) == expected
+
+    @given(labeled_grammar(), st.sampled_from(FSTS))
+    @settings(max_examples=80, deadline=None)
+    def test_view_is_the_built_image_rule_for_rule(self, g, fst):
+        """Walking the whole lazy view from the alias meets the built
+        image's rules in the same order, with one view key per image
+        nonterminal: wrappers shared, duplicates and empty literals
+        dropped alike."""
+        IMAGE_CACHE.clear()
+        image, start = fst_image(g, g.start, fst)
+        alias = image.fresh("alias")
+        image.add(alias, (start,))
+        view = _plan_view(plan_image(g, g.start, fst))
+        built_of = {_ALIAS: alias}
+        stack = [_ALIAS]
+        while stack:
+            key = stack.pop()
+            rules = view.productions.get(key, ())
+            built_rules = image.productions.get(built_of[key], ())
+            assert len(rules) == len(built_rules)
+            for rhs, built_rhs in zip(rules, built_rules):
+                assert len(rhs) == len(built_rhs)
+                for symbol, built_symbol in zip(rhs, built_rhs):
+                    if not hasattr(built_symbol, "uid"):
+                        assert symbol == built_symbol
+                        continue
+                    if symbol not in built_of:
+                        built_of[symbol] = built_symbol
+                        stack.append(symbol)
+                    assert built_of[symbol] is built_symbol
+        distinct = {id(nt) for nt in built_of.values()}
+        assert len(distinct) == len(built_of) == len(image.reachable(alias))
 
 
 def _shape(grammar: Grammar, start) -> tuple:
@@ -154,10 +225,19 @@ def _page_state(builder: GrammarBuilder, roots) -> tuple:
     ]
 
 
-def _build_chain(g: Grammar, fsts, threshold: int, defer: bool):
+def _concat(builder: GrammarBuilder, values):
+    return builder.concat_all(values)
+
+
+def _widened(builder: GrammarBuilder, values):
+    return builder.widen(builder.concat_all(values))
+
+
+def _build_chain(g: Grammar, fsts, threshold: int, defer: bool, read=_concat):
     """Import ``g`` into a builder and image it through ``fsts``; the
-    query concatenates every intermediate value, so all of them stay
-    reachable.  Returns ``(builder, query root, deferred count)``."""
+    query ``read`` takes every intermediate value: the default
+    concatenates them, so all of them stay reachable over productions.  Returns
+    ``(builder, query root, deferred count)``."""
     IMAGE_CACHE.clear()
     builder = GrammarBuilder(widen_threshold=threshold)
     operand = builder._absorb(g.subgrammar(g.start), g.start, "in")
@@ -171,7 +251,7 @@ def _build_chain(g: Grammar, fsts, threshold: int, defer: bool):
         for fst in fsts:
             values.append(builder.image(values[-1], fst, "fx"))
         deferred = len(builder._deferred)
-        query = builder.concat_all(values)
+        query = read(builder, values)
         builder.settle([query.nt])
     return builder, query.nt, deferred
 
@@ -189,3 +269,30 @@ class TestForcedImage:
         assert not lazy._deferred  # the query reaches every value
         assert _page_state(lazy, [lazy_root]) == _page_state(eager, [eager_root])
         assert lazy.grammar.num_productions() == eager.grammar.num_productions()
+
+    @given(
+        labeled_grammar(),
+        st.lists(st.sampled_from(FSTS), min_size=1, max_size=3),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_images_traced_only_through_a_widening_stay_unbuilt(
+        self, g, fsts, threshold
+    ):
+        """A query that widens the values reaches the deferred images
+        over ``prov_inputs`` edges only: none is forced, and the origin
+        events and provenance are the eager run's."""
+        eager, eager_root, _ = _build_chain(g, fsts, threshold, False, _widened)
+        before = PERF.snapshot()["counters"].get("image.forced", 0)
+        lazy, lazy_root, deferred = _build_chain(g, fsts, threshold, True, _widened)
+        assert PERF.snapshot()["counters"].get("image.forced", 0) == before
+        assert len(lazy._deferred) == deferred
+
+        def events(builder):
+            return [list(event.items()) for event in builder.grammar.origins.values()]
+
+        assert events(lazy) == events(eager)
+        assert (
+            trace_provenance(lazy.grammar, lazy_root).as_dict()
+            == trace_provenance(eager.grammar, eager_root).as_dict()
+        )

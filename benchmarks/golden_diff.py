@@ -1,27 +1,42 @@
-"""Compare the JSON goldens with their versions at a git revision.
+"""Compare the JSON and SARIF goldens with their versions at a git revision.
 
     python benchmarks/golden_diff.py --base HEAD~1 --ignore query_samples
 
-Loads every ``tests/analysis/golden*/*.json`` and
-``tests/remediate/golden/*.fixed.json`` in the working tree and at
-``--base``, drops each ``--ignore`` key wherever it occurs, and requires
-the rest to be equal.  Every ``.sarif`` golden must be byte-identical.
-Prints, per file, how many hotspots' ignored values changed; exits 1 on
-any other difference.  Use it when a change is meant to move one field
-of the report and nothing else.
+Loads every ``tests/analysis/golden*/*.json``,
+``tests/remediate/golden/*.fixed.json`` and ``.sarif`` golden in the
+working tree and at ``--base``, drops each ``--ignore`` key wherever it
+occurs, and requires the rest to be equal.  In a SARIF log a key is
+dropped under its SARIF spelling (``example_query`` is the
+``exampleQuery`` property), and ``before``/``after`` are the two sides of
+the ``: 'x' ↦ 'y'`` tail of a sanitizer step's message.  Prints, per
+file, how many ignored values changed; exits 1 on any other difference.
+Use it when a change is meant to move one field of the report and
+nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-JSON_GLOBS = ("tests/analysis/golden*/*.json", "tests/remediate/golden/*.fixed.json")
-SARIF_GLOB = "tests/**/*.sarif"
+GLOBS = (
+    "tests/analysis/golden*/*.json",
+    "tests/remediate/golden/*.fixed.json",
+    "tests/**/*.sarif",
+)
+
+#: SARIF spellings of report keys
+SARIF_KEYS = {"example_query": "exampleQuery"}
+
+#: the ``: before ↦ after`` tail of a sanitizer step's message, each
+#: side a Python string repr
+_REPR = r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
+STEP_TAIL = re.compile(rf": ({_REPR}) ↦ ({_REPR})$")
 
 
 def at_revision(rev: str, rel: str) -> bytes:
@@ -36,10 +51,33 @@ def split(node, ignore: set[str], dropped: list):
     if isinstance(node, dict):
         for key in sorted(ignore & node.keys()):
             dropped.append((key, node[key]))
-        return {k: split(v, ignore, dropped) for k, v in node.items() if k not in ignore}
+        return {
+            k: step_text(v, ignore, dropped)
+            if k == "text" and isinstance(v, str)
+            else split(v, ignore, dropped)
+            for k, v in node.items()
+            if k not in ignore
+        }
     if isinstance(node, list):
         return [split(v, ignore, dropped) for v in node]
     return node
+
+
+def step_text(text: str, ignore: set[str], dropped: list) -> str:
+    """A SARIF message without its sanitizer ``before``/``after`` when
+    they are ignored.  With both ignored the whole tail goes, because a
+    step whose samples are both empty prints none."""
+    if not text.startswith("sanitizer ") or not {"before", "after"} & ignore:
+        return text
+    match = STEP_TAIL.search(text)
+    if {"before", "after"} <= ignore:
+        dropped.append(("before/after", match and match.group(0)))
+        return text[: match.start()] if match else text
+    if match is None:
+        return text
+    side = 1 if "before" in ignore else 2
+    dropped.append((("before", "after")[side - 1], match.group(side)))
+    return text[: match.start(side)] + "…" + text[match.end(side):]
 
 
 def main(argv=None) -> int:
@@ -47,11 +85,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare with")
     parser.add_argument("--ignore", action="append", default=[], help="key to drop")
     args = parser.parse_args(argv)
-    ignore = set(args.ignore)
     ok = True
-    for pattern in JSON_GLOBS:
+    for pattern in GLOBS:
         for path in sorted(ROOT.glob(pattern)):
             rel = path.relative_to(ROOT).as_posix()
+            ignore = set(args.ignore)
+            if path.suffix == ".sarif":
+                ignore = {SARIF_KEYS.get(key, key) for key in ignore}
             old_dropped: list = []
             new_dropped: list = []
             old = split(json.loads(at_revision(args.base, rel)), ignore, old_dropped)
@@ -63,11 +103,6 @@ def main(argv=None) -> int:
                 f"{rel}: {'rest equal' if same else 'DIFFERS'}, "
                 f"{changed} of {len(new_dropped)} ignored values changed"
             )
-    for path in sorted(ROOT.glob(SARIF_GLOB)):
-        rel = path.relative_to(ROOT).as_posix()
-        same = path.read_bytes() == at_revision(args.base, rel)
-        ok &= same
-        print(f"{rel}: {'identical' if same else 'DIFFERS'}")
     return 0 if ok else 1
 
 

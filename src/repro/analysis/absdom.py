@@ -39,13 +39,12 @@ from .values import ArrVal, StrVal, Value
 @dataclass
 class _Pending:
     """A deferred image's alias, until forced: the image, the operand
-    it was taken of, the uid reserved for its nonterminals, its origin
-    event (``after`` filled in at force time) and the span op hint."""
+    it was taken of, the uid reserved for its nonterminals and the span
+    op hint."""
 
     image: DeferredImage
     operand: Nonterminal
     slot: int
-    event: dict
     hint: str
 
 
@@ -101,15 +100,13 @@ class GrammarBuilder:
         event.update(extra)
         return event
 
-    def _prov_sample(self, source: Nonterminal | DeferredImage) -> str:
-        """A short non-empty example string of ``L(source)`` (or ""); of
-        a deferred image, the one its forced alias would give."""
+    def _prov_sample(self, nt: Nonterminal) -> str:
+        """A shortest non-empty string of ``L(nt)``, or "" when it has
+        none or it is longer than 48 characters."""
         with PERF.timer("provenance.samples"):
-            if isinstance(source, DeferredImage):
-                texts = source.sample(limit=3, max_len=48)
-            else:
-                texts = self.grammar.sample_strings(source, limit=3, max_len=48)
-        return next((text for text in texts if text), "")
+            texts = self.grammar.shortest_strings(nt, limit=2)
+        text = next((text for text in texts if text), "")
+        return text if len(text) <= 48 else ""
 
     def taint_through(
         self,
@@ -299,11 +296,26 @@ class GrammarBuilder:
     @gc_paused
     def image(self, value: StrVal, fst: FST, hint: str = "fx") -> StrVal:
         """Transducer image; widens the operand first if it would blow up,
-        and defers an image that its next consumer would only widen."""
+        and defers an image that its next consumer would only widen.
+
+        The origin event's ``after`` is the transducer's output on
+        ``before`` (the first in sorted order), a string of the image
+        whether or not the image is built."""
         with TIMELINE.phase("image", op=hint):
             scope, value = self._scoped(value, hint)
             TIMELINE.annotate("operand_productions", scope.num_productions())
-            before_sample = self._prov_sample(value.nt)
+            before = self._prov_sample(value.nt)
+            try:
+                outputs = fst.apply_to_string(before)
+            except FSTExplosion:
+                outputs = ()
+            event = self._origin_event(
+                "sanitizer",
+                self.call_name or hint,
+                op=hint,
+                before=before,
+                after=min(outputs, default=""),
+            )
             try:
                 imaged = fst_image(
                     scope, value.nt, fst, defer_above=self.widen_threshold
@@ -318,29 +330,21 @@ class GrammarBuilder:
                 imaged = widened, start
             if isinstance(imaged, DeferredImage):
                 TIMELINE.annotate("deferred", True)
-                return self._defer(imaged, value.nt, hint, before_sample)
+                return self._defer(imaged, value.nt, hint, event)
         imaged, start = imaged
         result = self._absorb(imaged, start, hint, operand=value.nt)
-        event = self._origin_event(
-            "sanitizer",
-            self.call_name or hint,
-            op=hint,
-            before=before_sample,
-            after=self._prov_sample(result.nt),
-        )
         self.grammar.set_origin(result.nt, event, inputs=(value.nt,))
         return result
 
     # -- deferred images -------------------------------------------------------
 
     def _defer(
-        self, image: DeferredImage, operand: Nonterminal, hint: str, before: str
+        self, image: DeferredImage, operand: Nonterminal, hint: str, event: dict
     ) -> StrVal:
         """The alias of an image left unbuilt: ``alias → ε | C alias``
         with ``C`` the image's charset closure and the image's labels —
         the widening the alias's consumer would compute from the built
-        image.  Its origin event is the one :meth:`image` records, with
-        ``after`` filled in when the image is forced."""
+        image.  Its origin event is the one :meth:`image` records."""
         PERF.incr("image.deferred")
         slot = reserve_uid()
         alias = self.fresh(hint)
@@ -349,15 +353,8 @@ class GrammarBuilder:
             self.grammar.add(alias, (image.closure, alias))
         for label in sorted(image.labels):
             self.grammar.add_label(alias, label)
-        event = self._origin_event(
-            "sanitizer",
-            self.call_name or hint,
-            op=hint,
-            before=before,
-            after="",
-        )
         self.grammar.set_origin(alias, event, inputs=(operand,))
-        self._deferred[alias] = _Pending(image, operand, slot, event, hint)
+        self._deferred[alias] = _Pending(image, operand, slot, hint)
         return StrVal(alias)
 
     @gc_paused
@@ -381,7 +378,6 @@ class GrammarBuilder:
                 grammar.add_prov_inputs(nt, (pending.operand,))
         grammar.replace_rules(alias, [(start,)])
         grammar.set_labels(alias, imaged.labels.get(start, ()))
-        pending.event["after"] = self._prov_sample(alias)
 
     def force(self, value: StrVal) -> StrVal:
         """Build every deferred image ``value`` reaches: for readers of
@@ -394,20 +390,13 @@ class GrammarBuilder:
 
     def settle(self, roots: Iterable[Nonterminal]) -> None:
         """End of phase 1: force every deferred image the hotspot
-        queries ``roots`` reach over productions.  An image they reach
-        only over ``prov_inputs`` edges is read by a finding's
-        provenance alone, through its origin event: fill in its
-        ``after`` sample from the plan and keep the stand-in.  Then drop
-        every plan; a later :meth:`force` re-plans."""
+        queries ``roots`` reach over productions, and drop the plans of
+        the rest, which keep their stand-ins (a later :meth:`force`
+        re-plans)."""
         if not self._deferred:
             return
-        derived = _reach(self.grammar, roots, inputs=False)
-        traced = _reach(self.grammar, derived, inputs=True)
-        for alias in sorted(self._deferred.keys() & derived):
+        for alias in sorted(self._deferred.keys() & _reach(self.grammar, roots)):
             self._force_one(alias)
-        for alias in sorted(self._deferred.keys() & traced):
-            pending = self._deferred[alias]
-            pending.event["after"] = self._prov_sample(pending.image)
         for pending in self._deferred.values():
             pending.image.release()
 
@@ -495,27 +484,15 @@ class GrammarBuilder:
             return self.literal("Object")
         return self.literal("")
 
-    def sample(self, value: StrVal, limit: int = 10) -> list[str]:
-        return self.grammar.sample_strings(self.force(value).nt, limit=limit)
 
-
-def _reach(
-    grammar: Grammar, roots: Iterable[Nonterminal], inputs: bool
-) -> set[Nonterminal]:
-    """What ``roots`` reach over productions, and over ``prov_inputs``
-    edges too when ``inputs``."""
+def _reach(grammar: Grammar, roots: Iterable[Nonterminal]) -> set[Nonterminal]:
+    """What ``roots`` reach over productions, in one walk."""
     seen = set(roots)
     stack = list(seen)
     while stack:
-        nt = stack.pop()
-        for rhs in grammar.productions.get(nt, ()):
+        for rhs in grammar.productions.get(stack.pop(), ()):
             for symbol in rhs:
                 if type(symbol) is Nonterminal and symbol not in seen:
-                    seen.add(symbol)
-                    stack.append(symbol)
-        if inputs:
-            for symbol in grammar.prov_inputs.get(nt, ()):
-                if symbol not in seen:
                     seen.add(symbol)
                     stack.append(symbol)
     return seen

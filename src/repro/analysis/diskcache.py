@@ -40,7 +40,10 @@ log = logging.getLogger(__name__)
 #: "8": ``query_samples`` are the shortest strings of L(query), not the
 #: first a breadth-first walk completes — stored page results and
 #: verdict entries must not replay the old samples.
-ANALYZER_CACHE_VERSION = "8"
+#: "9": witnesses, example queries and provenance ``before`` samples
+#: are shortest-first, and a sanitizer's ``after`` is its transducer's
+#: output on ``before`` — stored reports must not replay the old ones.
+ANALYZER_CACHE_VERSION = "9"
 
 #: extensions the include resolver scans — part of the project state
 RESOLVER_EXTENSIONS = (".php", ".inc", ".html", ".tpl")

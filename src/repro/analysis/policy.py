@@ -541,12 +541,15 @@ def _example_query(
     """A full query string with the witness substring spliced into one of
     its contexts — the "here is the attack" line of the bug report."""
     context = _contexts_grammar(scope, root, labeled, others)
-    samples = context.sample_strings(root, limit=6, max_len=300)
+    samples = [
+        sample for sample in context.shortest_strings(root, limit=6)
+        if len(sample) <= 300
+    ]
     for sample in samples:
         if quotes.MARKER in sample:
             return sample.replace(quotes.MARKER, witness).replace(NEUTRAL, "data")
-    # The sampling horizon can miss every marker-placing derivation (the
-    # context grammar is big or the marker sits behind long literals).
+    # The six shortest contexts can all skip the marker (it sits in an
+    # optional part of the query) or run past 300 characters.
     # Rather than an empty example, show a marker-free query with the
     # witness appended — still a string the report reader can act on.
     if samples:
@@ -556,7 +559,7 @@ def _example_query(
 
 def _witness(scope: Grammar, labeled: Nonterminal, dfa) -> str:
     refined, start = intersect(scope, labeled, dfa)
-    samples = refined.sample_strings(start, limit=1)
+    samples = refined.shortest_strings(start, limit=1)
     return samples[0] if samples else ""
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.analysis.analyzer import analyze_page
 from repro.analysis.stringtaint import StringTaintAnalysis
+from repro.lang.earley import char_membership, char_token_grammar
 from repro.lang.grammar import DIRECT
 from repro.sql.confinement import check_confinement
 
@@ -57,6 +58,11 @@ ATTACK_QUERY = (
 )
 
 
+def _derives(grammar, root, text: str) -> bool:
+    """Does ``root`` derive ``text``?  (The Earley membership test.)"""
+    return char_membership(char_token_grammar(grammar, root), text)
+
+
 def _figure2_workspace() -> Path:
     workspace = Path(tempfile.mkdtemp(prefix="fig2-"))
     (workspace / "useredit.php").write_text(FIGURE2_CODE)
@@ -71,7 +77,7 @@ def figure2() -> dict:
     report = reports[0]
     grammar = analysis.builder.grammar
     hotspot = analysis.hotspots[0]
-    attack_derivable = grammar.generates(hotspot.query.nt, ATTACK_QUERY)
+    attack_derivable = _derives(grammar, hotspot.query.nt, ATTACK_QUERY)
     payload_span = (
         ATTACK_QUERY.index(ATTACK_PAYLOAD),
         ATTACK_QUERY.index(ATTACK_PAYLOAD) + len(ATTACK_PAYLOAD),
@@ -99,7 +105,7 @@ def figure4() -> dict:
         "productions": scope.num_productions(),
         "nonterminals": len(scope.productions),
         "direct_labeled": len(labeled),
-        "samples": scope.sample_strings(hotspot.query.nt, limit=4),
+        "samples": scope.shortest_strings(hotspot.query.nt, limit=4),
         "dump": scope.dump(limit=30),
     }
 
@@ -127,8 +133,8 @@ def figure5() -> dict:
     scope = result.grammar.subgrammar(hotspot.query.nt)
     return {
         "dump": scope.dump(limit=20),
-        "derives_s": result.grammar.generates(hotspot.query.nt, "s"),
-        "derives_ss": result.grammar.generates(hotspot.query.nt, "ss"),
+        "derives_s": _derives(result.grammar, hotspot.query.nt, "s"),
+        "derives_ss": _derives(result.grammar, hotspot.query.nt, "ss"),
     }
 
 
@@ -158,7 +164,7 @@ def figure8() -> dict:
     piece = builder.force(pieces.default)
     return {
         "derives": {
-            text: builder.grammar.generates(piece.nt, text)
+            text: _derives(builder.grammar, piece.nt, text)
             for text in ("a", "b", "c", "a,b")
         }
     }

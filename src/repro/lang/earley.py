@@ -630,15 +630,14 @@ def _search_mapping(
 #
 # The differential oracle (:mod:`repro.oracle`) must decide, for every
 # concrete query a fuzzed page produces, whether the string is a member
-# of the hotspot's analysis grammar.  :meth:`Grammar.generates` answers
-# that with a per-query CYK over a binarized copy — fine for tests,
-# too slow inside a fuzz loop that asks thousands of membership queries
-# against the *same* grammar.  Here we lower the symbol grammar once to
-# a character-level :class:`TokenGrammar` (literals split into
-# single-character tokens, each distinct ``CharSet`` interned as one
-# placeholder token) and answer each query with the Earley recognizer
-# above, using ``match_classes`` to let an input character scan any
-# charset token that contains it.
+# of the hotspot's analysis grammar.  A per-query CYK table (the tests'
+# reference checker) is too slow inside a fuzz loop that asks thousands
+# of membership queries against the *same* grammar.  Here we lower the
+# symbol grammar once to a character-level :class:`TokenGrammar`
+# (literals split into single-character tokens, each distinct
+# ``CharSet`` interned as one placeholder token) and answer each query
+# with the Earley recognizer above, using ``match_classes`` to let an
+# input character scan any charset token that contains it.
 
 
 def char_token_grammar(

@@ -116,8 +116,7 @@ def closure_of(texts: Iterable[str], charsets: Iterable[CharSet]) -> CharSet:
 Symbol = Lit | CharSet | Nonterminal
 Rhs = tuple[Symbol, ...]
 
-#: Pops one :meth:`Grammar.sample_strings` walk or one
-#: :meth:`Grammar.shortest_strings` search may take.
+#: Pops one :meth:`Grammar.shortest_strings` search may take.
 _SAMPLE_STEPS = 20000
 
 
@@ -641,109 +640,6 @@ class Grammar:
         self._memo_set(("closure", root), chars)
         return chars
 
-    def sample_strings(
-        self,
-        root: Nonterminal,
-        limit: int = 20,
-        max_len: int = 200,
-    ) -> list[str]:
-        """Up to ``limit`` distinct strings of L(root), in the order a
-        breadth-first walk over sentential forms completes them.
-
-        Strings come out by derivation depth, not by length: a deep but
-        short string can follow a shallow long one, and a walk cut by
-        the step budget or the 40-symbol form cap can miss short
-        strings altogether (:meth:`shortest_strings` has neither flaw).
-        Charset symbols contribute their sample character (plus ``'``
-        and ``-`` if present, since quotes and comment dashes are what
-        the analyses care about).
-        """
-        memo_key = ("samples", root, limit, max_len)
-        cached = self._memo_get(memo_key)
-        if cached is not None:
-            return list(cached)
-        results: list[str] = []
-        seen_forms: set[tuple] = set()
-        seen_add = seen_forms.add
-        # Sentential forms hold literals as plain ``str`` (not Lit):
-        # CPython caches str hashes in C, so deduplicating a form tuple
-        # skips one Python-level __hash__ call per literal.  The Lit ↔
-        # str bijection (equal texts ⇔ equal objects in a form slot)
-        # keeps dedup decisions, queue order, and results identical to
-        # the Lit-based walk.  Production rhss are converted once each.
-        conv_cache: dict[int, tuple] = {}
-        # each queue entry carries a scan hint: every symbol left of the
-        # previous expansion point is a literal, so the search for the
-        # first non-literal can resume there instead of rescanning
-        queue: deque[tuple[tuple, int]] = deque([((root,), 0)])
-        pop = queue.popleft
-        push = queue.append
-        productions = self.productions
-        steps = 0
-        seen_count = 0
-        cut = False
-        while queue and len(results) < limit and steps < _SAMPLE_STEPS:
-            steps += 1
-            form, scan = pop()
-            # find first nonterminal / charset
-            idx = None
-            n = len(form)
-            while scan < n:
-                if type(form[scan]) is not str:
-                    idx = scan
-                    break
-                scan += 1
-            if idx is None:
-                text = "".join(form)
-                if len(text) <= max_len and text not in results:
-                    results.append(text)
-                continue
-            if seen_count + 1 >= _SAMPLE_STEPS:
-                # Step budget cut: every step pops exactly one entry, so
-                # the entry pushed N-th after the root is popped at step
-                # N + 1, and one pushed now would be popped after the
-                # last step.  Only the completed forms already queued
-                # can still contribute, so stop building new ones.
-                cut = True
-                continue
-            symbol = form[idx]
-            if type(symbol) is CharSet:
-                choices = {symbol.sample_char()}
-                if "'" in symbol:
-                    choices.add("'")
-                if "-" in symbol:
-                    choices.add("-")
-                # sorted: set iteration over strings is hash-seed
-                # dependent, and samples must not vary across processes
-                for char in sorted(choices):
-                    expanded = form[:idx] + (char,) + form[idx + 1 :]
-                    # single-hash membership: add() and compare sizes
-                    # instead of a `not in` probe followed by add()
-                    seen_add(expanded)
-                    if len(seen_forms) != seen_count:
-                        seen_count += 1
-                        push((expanded, idx))
-                continue
-            prefix = form[:idx]
-            suffix = form[idx + 1 :]
-            for rhs in productions.get(symbol, ()):
-                conv = conv_cache.get(id(rhs))
-                if conv is None:
-                    conv = tuple(
-                        s.text if type(s) is Lit else s for s in rhs
-                    )
-                    conv_cache[id(rhs)] = conv
-                expanded = prefix + conv + suffix
-                if len(expanded) <= 40:
-                    seen_add(expanded)
-                    if len(seen_forms) != seen_count:
-                        seen_count += 1
-                        push((expanded, idx))
-        if cut:
-            PERF.incr("samples.budget_cuts")
-        self._memo_set(memo_key, results)
-        return list(results)
-
     def shortest_strings(self, root: Nonterminal, limit: int) -> list[str]:
         """Up to ``limit`` distinct strings of L(root), shortest first.
 
@@ -754,15 +650,17 @@ class Grammar:
         symbols, i.e. the length of its shortest completion, and ties
         pop in insertion order.  Expanding the leftmost symbol never
         lowers the priority, so completed strings pop in non-decreasing
-        length.  Charset symbols take the same choices as
-        :meth:`sample_strings`; rules with an empty-language symbol are
-        never expanded, so an empty language costs no search at all.
+        length.  A charset symbol contributes its sample character, plus
+        ``'`` and ``-`` if present, since quotes and comment dashes are
+        what the analyses care about.  Rules with an empty-language
+        symbol are never expanded, so an empty language costs no search
+        at all.
 
         Forms with more than 40 symbols left to expand are dropped:
         without that cap nullable recursion (``A → A B | ε``) spawns
         equal-priority forms forever.  A search that takes
         ``_SAMPLE_STEPS`` pops without ``limit`` strings stops there
-        and counts ``samples.budget_cuts``, like the breadth-first walk.
+        and counts ``samples.budget_cuts``.
         """
         memo_key = ("shortest", root, limit)
         cached = self._memo_get(memo_key)
@@ -894,7 +792,8 @@ class Grammar:
         simply truncate the forced affix (to the empty string in the
         worst case), so the summary is always a valid *necessary*
         condition for membership — the include resolver uses it to prune
-        candidate paths before the exact :meth:`generates` test.
+        candidate paths before the exact Earley membership test
+        (:func:`repro.lang.earley.char_membership`).
         """
         cached = self._memo_get(("affix", root))
         if cached is not None:
@@ -965,36 +864,6 @@ class Grammar:
         string of L(root) must carry.  Under-approximate but sound."""
         affix, _ = _nt_affix(self.productions, {}, root, reverse)
         return affix[::-1] if reverse else affix
-
-    def generates(self, root: Nonterminal, text: str) -> bool:
-        """Membership test: does ``root`` derive ``text``?
-
-        A bottom-up span table (CYK-style, but directly over our symbol
-        kinds) with a per-span fixpoint so cyclic/unit/epsilon rules are
-        handled exactly.  Not meant for production use — the policy
-        checks use automata intersections — but invaluable for tests and
-        for validating witness strings.
-        """
-        n = len(text)
-        reach = [nt for nt in self.reachable(root) if nt in self.productions]
-        table: set[tuple[Nonterminal, int, int]] = set()
-
-        for length in range(n + 1):
-            spans = [(i, i + length) for i in range(n - length + 1)]
-            changed = True
-            while changed:
-                changed = False
-                for i, j in spans:
-                    for nt in reach:
-                        if (nt, i, j) in table:
-                            continue
-                        if any(
-                            _seq_derives(text, table, rhs, 0, i, j)
-                            for rhs in self.productions.get(nt, ())
-                        ):
-                            table.add((nt, i, j))
-                            changed = True
-        return (root, 0, n) in table
 
     # -- transformation ----------------------------------------------------
 
@@ -1147,33 +1016,6 @@ def _nt_affix(
     )
     memo[nt] = (common, exact)
     return memo[nt]
-
-
-def _seq_derives(
-    text: str, table: set, rhs: Rhs, k: int, i: int, j: int
-) -> bool:
-    """Does ``rhs[k:]`` derive ``text[i:j]``, given the span ``table``?"""
-    if k == len(rhs):
-        return i == j
-    symbol = rhs[k]
-    if isinstance(symbol, Lit):
-        split = i + len(symbol.text)
-        return (
-            split <= j
-            and text[i:split] == symbol.text
-            and _seq_derives(text, table, rhs, k + 1, split, j)
-        )
-    if isinstance(symbol, CharSet):
-        return (
-            i < j
-            and text[i] in symbol
-            and _seq_derives(text, table, rhs, k + 1, i + 1, j)
-        )
-    return any(
-        (symbol, i, split) in table
-        and _seq_derives(text, table, rhs, k + 1, split, j)
-        for split in range(i, j + 1)
-    )
 
 
 def _canonical_symbol(symbol: Symbol, index: dict[Nonterminal, int]) -> str:

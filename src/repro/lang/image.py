@@ -25,7 +25,7 @@ take a :class:`DeferredImage` instead (DESIGN §5o).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from typing import Callable, Hashable, Iterable
+from typing import Iterable
 
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
@@ -50,14 +50,10 @@ class _Entry:
     ``size`` is the plan's lower bound on the image's rule count (see
     :attr:`ImagePlan.size`), kept on every entry so a hit makes the same
     deferral decision a miss would.  ``summary`` is ``(charset closure,
-    labels)`` of the image, filled only for images some caller deferred,
-    and ``samples`` maps ``(limit, max_len)`` to the image's
-    :meth:`DeferredImage.sample`.  Both are name-free, so every page
-    whose input has this entry's shape shares them.
+    labels)`` of the image, filled only for images some caller deferred.
     """
 
-    __slots__ = ("fst", "grammar", "start", "recipes", "size", "summary",
-                 "samples")
+    __slots__ = ("fst", "grammar", "start", "recipes", "size", "summary")
 
     def __init__(self, fst, grammar, start, recipes, size, summary) -> None:
         self.fst = fst
@@ -66,7 +62,6 @@ class _Entry:
         self.recipes: dict[Nonterminal, NameRecipe] | None = recipes
         self.size: int = size
         self.summary: tuple[CharSet, frozenset[str]] | None = summary
-        self.samples: dict[tuple[int, int], list[str]] = {}
 
 
 class ImageCache:
@@ -235,13 +230,13 @@ def _build(
     plan: ImagePlan, fingerprint: str, entry: _Entry | None
 ) -> tuple[Grammar, Nonterminal]:
     """Materialize ``plan`` and memoize the result (keeping the summary
-    and samples of an ``entry`` that was deferred before)."""
+    of an ``entry`` that was deferred before)."""
     with PERF.timer("image.construct"), TIMELINE.phase("image.construct"):
         result, start, recipes = _materialize(plan)
-    built = _Entry(plan.fst, result, start, recipes, plan.size, None)
-    if entry is not None:
-        built.summary, built.samples = entry.summary, entry.samples
-    IMAGE_CACHE.put(fingerprint, built)
+    summary = entry.summary if entry is not None else None
+    IMAGE_CACHE.put(
+        fingerprint, _Entry(plan.fst, result, start, recipes, plan.size, summary)
+    )
     # hand the first caller a copy too: the cached original must never
     # be reachable from mutating callers
     return result.structural_copy(), start
@@ -255,10 +250,8 @@ class DeferredImage:
     exact charset closure of the image's language; ``labels``, exactly
     the labels the built image would carry — and :meth:`build` produces
     the image itself on demand: from the saved plan, else by replaying a
-    built memo entry, else by planning again.  :meth:`sample` gives the
-    built image's sample strings without building it.  :meth:`release`
-    drops the plan (the largest part) and keeps only what re-planning
-    needs.
+    built memo entry, else by planning again.  :meth:`release` drops
+    the plan (the largest part) and keeps only what re-planning needs.
     """
 
     __slots__ = ("size", "closure", "labels", "_entry", "_grammar", "_root",
@@ -282,41 +275,16 @@ class DeferredImage:
 
     def build(self) -> tuple[Grammar, Nonterminal]:
         """Exactly what :func:`fst_image` without deferral returns."""
-        entry = self._current()
+        fst = self._entry.fst
+        entry = IMAGE_CACHE.get(fst, self._fingerprint) or self._entry
         if entry.grammar is not None:
             return _replay(entry, self._grammar)
-        plan = self._saved_plan()
+        plan = self._plan
         self._plan = None
-        return _build(plan, self._fingerprint, entry)
-
-    def sample(self, limit: int, max_len: int) -> list[str]:
-        """``sample_strings(alias, limit, max_len)`` of the page grammar
-        this image's forced alias ``alias → start`` would leave, without
-        building the image: from the memo entry's samples, else from a
-        built memo entry, else from a lazy rule view of the plan (saved
-        or planned again), which keeps the plan."""
-        entry = self._current()
-        key = (limit, max_len)
-        found = entry.samples.get(key)
-        if found is None:
-            view = (
-                _built_view(entry) if entry.grammar is not None
-                else _plan_view(self._saved_plan())
-            )
-            found = entry.samples[key] = view.sample_strings(_ALIAS, limit, max_len)
-        return list(found)
-
-    def _current(self) -> _Entry:
-        """The memo entry of this image now: a built one replaces the
-        summary-only entry this deferral saw."""
-        return IMAGE_CACHE.get(self._entry.fst, self._fingerprint) or self._entry
-
-    def _saved_plan(self) -> ImagePlan:
-        """The saved plan, planned again if it was released."""
-        if self._plan is None:
+        if plan is None:
             with PERF.timer("image.plan"), TIMELINE.phase("image.plan"):
-                self._plan = plan_image(self._grammar, self._root, self._entry.fst)
-        return self._plan
+                plan = plan_image(self._grammar, self._root, fst)
+        return _build(plan, self._fingerprint, entry)
 
     def release(self) -> None:
         self._plan = None
@@ -483,7 +451,7 @@ def _materialize(
 ) -> tuple[Grammar, Nonterminal, dict[Nonterminal, NameRecipe]]:
     """Build the trimmed image grammar ``plan`` describes, with the name
     recipe of every kept nonterminal (see :class:`ImageCache`)."""
-    root, normalized = plan.root, plan.grammar
+    root, fst, normalized = plan.root, plan.fst, plan.grammar
     # name provenance for the cache: which input nonterminal each
     # generated name string derives from (chain variables inherit the
     # lhs they were split from)
@@ -493,6 +461,7 @@ def _materialize(
     )
     recipes: dict[Nonterminal, NameRecipe] = {}
     result = Grammar()
+    term_triple: dict[tuple[int, int, int], Symbol | None] = {}
 
     def mint(nt: Nonterminal, p: int, q: int) -> Nonterminal:
         fresh = result.fresh(f"{nt.name}/{p},{q}")
@@ -507,50 +476,13 @@ def _materialize(
         )
         return fresh
 
-    def wrapper(kind: str, key: tuple[int, int, int]) -> Nonterminal:
-        fresh = result.fresh(f"{kind}/{key[1]},{key[2]}")
-        recipes[fresh] = (None, fresh.name)
-        return fresh
-
-    with PERF.timer("image.materialize"):
-        get_triple = plan.materialize(
-            result, plan.reachable, mint, _term_writer(plan, result, wrapper)
-        )
-        start = result.fresh(f"{root.name}»")
-        root_ordinal = input_ordinal.get(root)
-        recipes[start] = (
-            (root_ordinal, "{}»") if root_ordinal is not None else (None, start.name)
-        )
-        result.start = start
-        for label in normalized.labels.get(root, ()):
-            result.add_label(start, label)
-        _add_start_rules(plan, result, start, get_triple)
-    with PERF.timer("image.trim"):
-        trimmed = trim_materialized(result, start)
-    kept_recipes = {nt: recipes[nt] for nt in trimmed.productions}
-    return trimmed, start, kept_recipes
-
-
-def _term_writer(
-    plan: ImagePlan,
-    result: Grammar,
-    wrapper: Callable[[str, tuple[int, int, int]], Symbol],
-) -> Callable[[Symbol, int, int], Symbol | None]:
-    """The ``term_symbol`` of an image: the output-side symbol of a
-    terminal crossing ``(p, q)``, or None.  A crossing with several
-    outputs gets a ``lit/`` or ``cls/`` wrapper, made by
-    ``wrapper(kind, (id(symbol), p, q))`` and given its rules in
-    ``result``.
-
-    Every outcome is cached, including "no crossing" (None) and the
-    plain-symbol cases — a hot str_replace image asks about the same
-    (literal, p, q) key once per referencing production — so each key
-    has one wrapper.
-    """
-    fst = plan.fst
-    term_triple: dict[tuple[int, int, int], Symbol | None] = {}
-
     def term_symbol(symbol: Symbol, p: int, q: int) -> Symbol | None:
+        """Output-side symbol for a terminal crossing (p, q), or None.
+
+        Every outcome is cached, including "no crossing" (None) and the
+        plain-symbol cases — a hot str_replace image asks about the same
+        (literal, p, q) key once per referencing production.
+        """
         key = (id(symbol), p, q)
         cached = term_triple.get(key, _TERM_MISS)
         if cached is not _TERM_MISS:
@@ -563,9 +495,12 @@ def _term_writer(
             elif len(outputs) == 1:
                 out_symbol = Lit(next(iter(outputs)))
             else:
-                out_symbol = wrapper("lit", key)
+                wrapper = result.fresh(f"lit/{p},{q}")
+                recipes[wrapper] = (None, wrapper.name)
                 for out in sorted(outputs):
-                    result.add(out_symbol, (Lit(out),) if out else ())
+                    wrapper_rhs = (Lit(out),) if out else ()
+                    result.add(wrapper, wrapper_rhs)
+                out_symbol = wrapper
         else:
             sequences = _charset_steps(fst, symbol, p).get(q)
             if not sequences:
@@ -573,100 +508,34 @@ def _term_writer(
             elif len(sequences) == 1 and len(sequences[0]) == 1:
                 out_symbol = sequences[0][0]
             else:
-                out_symbol = wrapper("cls", key)
+                wrapper = result.fresh(f"cls/{p},{q}")
+                recipes[wrapper] = (None, wrapper.name)
                 for seq in sequences:
-                    result.add(out_symbol, seq)
+                    result.add(wrapper, seq)
+                out_symbol = wrapper
         term_triple[key] = out_symbol
         return out_symbol
 
-    return term_symbol
-
-
-def _add_start_rules(
-    plan: ImagePlan,
-    result: Grammar,
-    start: Hashable,
-    get_triple: Callable[[Nonterminal, int, int], Hashable],
-) -> None:
-    """The image start's rules: one per accepting end state, the root
-    triple then the state's final flush."""
-    fst = plan.fst
-    for q in plan.ends:
-        flush = fst.final_output.get(q, "")
-        body: Rhs = (get_triple(plan.root, fst.start, q),)
-        if flush:
-            body = body + (Lit(flush),)
-        result.add(start, body)
-
-
-# -- sampling an image without building it -------------------------------------
-
-#: Keys of the alias and the start in a sample view.  A view's other
-#: keys are plain tuples too: ``(X, p, q)`` for a triple, ``(kind,
-#: id(t), p, q)`` for a terminal wrapper.  No Nonterminal is minted, so
-#: sampling takes no uid.
-_ALIAS = ("alias",)
-_START = ("start",)
-
-
-class _LazyRules(dict):
-    """A rule mapping whose entries are written on their first lookup.
-
-    ``fill(key)`` must add ``key``'s rules (and may add others'); only
-    :meth:`get`, the one lookup :meth:`Grammar.sample_strings` makes,
-    fills.  Keys added before the first lookup are plain entries."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def get(self, key, default=None):
-        rules = dict.get(self, key)
-        if rules is None:
-            self.fill(key)
-            rules = dict.get(self, key, default)
-        return rules
-
-
-def _plan_view(plan: ImagePlan) -> Grammar:
-    """The built image under ``alias → start`` as a lazy grammar over
-    ``plan``: a triple's rules are the kernel's :meth:`PairTable.bodies`
-    through the image's own terminal writer, added with ``_bulk_add``,
-    so the rules, their order, the wrapper sharing and the dedup and
-    empty-literal cleaning are the built image's."""
-    view = Grammar()
-    pairs = plan.pairs
-    rules = plan.grammar.productions
-    dispatched: dict[Nonterminal, list[tuple]] = {}
-
-    def side(symbol: Symbol, i: int, j: int):
-        if type(symbol) is Nonterminal:
-            return (symbol, i, j) if (i, j) in pairs[symbol] else None
-        return term_symbol(symbol, i, j)
-
-    def fill(triple: Triple) -> None:
-        lhs, i, j = triple
-        prepared = dispatched.get(lhs)
-        if prepared is None:
-            prepared = dispatched[lhs] = plan.dispatch(rules.get(lhs, ()))
-        view._bulk_add(triple, plan.bodies(prepared, i, j, side))
-
-    view.productions = _LazyRules(fill)
-    term_symbol = _term_writer(plan, view, lambda kind, key: (kind,) + key)
-    view.add(_ALIAS, (_START,))
-    view.productions[_START] = []  # an empty image's start has no rules
-    _add_start_rules(plan, view, _START, lambda *triple: triple)
-    return view
-
-
-def _built_view(entry: _Entry) -> Grammar:
-    """A memoized built image under ``alias → start``."""
-    view = Grammar()
-    view.productions = dict(entry.grammar.productions)
-    view.add(_ALIAS, (entry.start,))
-    return view
+    with PERF.timer("image.materialize"):
+        get_triple = plan.materialize(result, plan.reachable, mint, term_symbol)
+        start = result.fresh(f"{root.name}»")
+        root_ordinal = input_ordinal.get(root)
+        recipes[start] = (
+            (root_ordinal, "{}»") if root_ordinal is not None else (None, start.name)
+        )
+        result.start = start
+        for label in normalized.labels.get(root, ()):
+            result.add_label(start, label)
+        for q in plan.ends:
+            flush = fst.final_output.get(q, "")
+            body: Rhs = (get_triple(root, fst.start, q),)
+            if flush:
+                body = body + (Lit(flush),)
+            result.add(start, body)
+    with PERF.timer("image.trim"):
+        trimmed = trim_materialized(result, start)
+    kept_recipes = {nt: recipes[nt] for nt in trimmed.productions}
+    return trimmed, start, kept_recipes
 
 
 def regular_image(charset: CharSet, fst: FST) -> tuple[Grammar, Nonterminal]:

@@ -260,8 +260,6 @@ class PairTable:
                 return None
             return term_symbol(symbol, i, j)
 
-        bodies = self.bodies
-        add = result._bulk_add
         for lhs, rhss in normalized.productions.items():
             # Pre-dispatch each rhs once per lhs instead of once per state
             # pair; the prepared tuples carry no side effects, so hoisting
@@ -271,51 +269,32 @@ class PairTable:
                 if (lhs, i, j) not in members:
                     continue
                 if prepared is None:
-                    prepared = self.dispatch(rhss)
+                    prepared = []
+                    for rhs in rhss:
+                        if not rhs:
+                            prepared.append((0, None, None, None))
+                        elif len(rhs) == 1:
+                            prepared.append((1, rhs[0], None, None))
+                        else:
+                            first, second = rhs
+                            prepared.append((2, first, second, self.by_start(first)))
                 lhs_triple = get_triple(lhs, i, j)
-                add(lhs_triple, bodies(prepared, i, j, rhs_symbol))
+                bodies: list[Rhs] = []
+                for kind, first, second, index in prepared:
+                    if kind == 2:
+                        for mid in index.get(i, ()):
+                            left = rhs_symbol(first, i, mid)
+                            right = rhs_symbol(second, mid, j)
+                            if left is not None and right is not None:
+                                bodies.append((left, right))
+                    elif kind == 1:
+                        restricted = rhs_symbol(first, i, j)
+                        if restricted is not None:
+                            bodies.append((restricted,))
+                    elif i == j:
+                        bodies.append(())
+                result._bulk_add(lhs_triple, bodies)
         return get_triple
-
-    def dispatch(self, rhss: Sequence[Rhs]) -> list[tuple]:
-        """One nonterminal's rules pre-dispatched for :meth:`bodies`."""
-        prepared = []
-        for rhs in rhss:
-            if not rhs:
-                prepared.append((0, None, None, None))
-            elif len(rhs) == 1:
-                prepared.append((1, rhs[0], None, None))
-            else:
-                first, second = rhs
-                prepared.append((2, first, second, self.by_start(first)))
-        return prepared
-
-    @staticmethod
-    def bodies(
-        prepared: list[tuple],
-        i: int,
-        j: int,
-        rhs_symbol: Callable[[Symbol, int, int], Symbol | None],
-    ) -> list[Rhs]:
-        """The bodies of triple ``X_{ij}``, in rule order then pair-set
-        order, from ``X``'s rules as :meth:`dispatch` prepared them.
-        ``rhs_symbol(s, i, j)`` writes out one side of a body, or is
-        None when ``s`` does not cross ``(i, j)`` and the body is
-        dropped."""
-        bodies: list[Rhs] = []
-        for kind, first, second, index in prepared:
-            if kind == 2:
-                for mid in index.get(i, ()):
-                    left = rhs_symbol(first, i, mid)
-                    right = rhs_symbol(second, mid, j)
-                    if left is not None and right is not None:
-                        bodies.append((left, right))
-            elif kind == 1:
-                restricted = rhs_symbol(first, i, j)
-                if restricted is not None:
-                    bodies.append((restricted,))
-            elif i == j:
-                bodies.append(())
-        return bodies
 
 
 def trim_materialized(result: Grammar, start: Nonterminal) -> Grammar:

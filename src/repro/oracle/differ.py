@@ -34,8 +34,8 @@ the oracle's own mirror semantics — all three are worth knowing about.
 
 Membership uses the character-level Earley lowering
 (:func:`repro.lang.earley.char_token_grammar`), prepared once per
-hotspot and reused across every vector — the CYK-based
-``Grammar.generates`` is far too slow for a fuzzing loop.
+hotspot and reused across every vector — a CYK table per query would
+be far too slow for a fuzzing loop.
 """
 
 from __future__ import annotations

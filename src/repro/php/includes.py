@@ -11,9 +11,8 @@ The intersection is evaluated by membership tests of each candidate path
 string against the include-argument grammar, which is equivalent to the
 regular-language intersection for a finite path language.  Membership is
 decided by the char-level Earley kernel (the one the differential oracle
-uses), on the argument scope lowered once per include;
-:meth:`Grammar.generates` stays the independent reference it is checked
-against.
+uses), on the argument scope lowered once per include; the tests check
+it against an independent CYK membership table.
 """
 
 from __future__ import annotations

@@ -13,7 +13,11 @@ check-specific *safe-hole sublanguage*:
   ``attack-string``, ``tokenization``) — an optionally-signed integer;
 * policy sinks get their policy's safe charset (shell: no
   metacharacters; XSS: no markup-significant characters; path: no
-  separators or dots; eval: the empty string only).
+  separators, dots or colons; eval: the empty string only).  The
+  context-sensitive XSS checks each get a hole inside the complement of
+  their own danger language: an attribute hole has no space, a URL hole
+  no colon either (so no script scheme), and a script-block or
+  unknown-context hole only the inert ``[a-zA-Z0-9_.,-]``.
 
 The profile is plain JSON (see :data:`~.guard_runtime.GUARD_PROFILE_VERSION`)
 checked by the stdlib-only :mod:`repro.remediate.guard_runtime` Earley
@@ -55,6 +59,21 @@ def _printable_minus(excluded: str) -> tuple[tuple[int, int], ...]:
     return tuple(intervals)
 
 
+#: the context-sensitive XSS policy's holes per check; any other check
+#: of it (script block, unknown context) gets :data:`_INERT`
+_XSS_CONTEXT_HOLES = {
+    "xss-context-body": _printable_minus("<>&\"'`"),
+    "xss-context-attr": _printable_minus("<>&\"'` "),
+    "xss-context-url": _printable_minus("<>&\"'` :"),
+}
+
+#: ``[a-zA-Z0-9_.,-]``, the repertoire the strictest XSS check leaves inert
+_INERT = tuple(
+    (ord(lo), ord(hi))
+    for lo, hi in ((",", "."), ("0", "9"), ("A", "Z"), ("_", "_"), ("a", "z"))
+)
+
+
 def safe_hole_intervals(
     check: str, policy: str
 ) -> tuple[tuple[int, int], ...] | None:
@@ -65,12 +84,14 @@ def safe_hole_intervals(
         if check in _QUOTED_CHECKS:
             return _printable_minus("'\"\\")
         return None   # numeric shape
-    if policy in ("xss", "xss-context"):
+    if policy == "xss":
         return _printable_minus("<>&\"'`")
+    if policy == "xss-context":
+        return _XSS_CONTEXT_HOLES.get(check, _INERT)
     if policy == "shell":
         return _printable_minus("'\"`\\|&;$<>(){}!*?~#\n")
     if policy == "path":
-        return _printable_minus("/\\.\0")
+        return _printable_minus("/\\.:\0")
     if policy == "eval":
         return ()
     return _printable_minus("'\"\\")

@@ -13,13 +13,15 @@ from repro.lang.grammar import DIRECT, INDIRECT
 from repro.lang.image import fst_image
 from repro.lang.regex import parse_regex
 
+from ..lang.reference import ref_generates
+
 
 class TestConstructors:
     def test_literal(self):
         b = GrammarBuilder()
         v = b.literal("hello")
-        assert b.grammar.generates(v.nt, "hello")
-        assert not b.grammar.generates(v.nt, "world")
+        assert ref_generates(b.grammar, v.nt, "hello")
+        assert not ref_generates(b.grammar, v.nt, "world")
 
     def test_literal_cached(self):
         b = GrammarBuilder()
@@ -28,13 +30,13 @@ class TestConstructors:
     def test_empty_literal(self):
         b = GrammarBuilder()
         v = b.literal("")
-        assert b.grammar.generates(v.nt, "")
+        assert ref_generates(b.grammar, v.nt, "")
 
     def test_any_string(self):
         b = GrammarBuilder()
         v = b.any_string()
         for text in ("", "abc", "'; DROP"):
-            assert b.grammar.generates(v.nt, text)
+            assert ref_generates(b.grammar, v.nt, text)
 
     def test_any_string_labeled(self):
         b = GrammarBuilder()
@@ -44,35 +46,35 @@ class TestConstructors:
     def test_charset_star(self):
         b = GrammarBuilder()
         v = b.charset_star(DIGITS)
-        assert b.grammar.generates(v.nt, "123")
-        assert not b.grammar.generates(v.nt, "a")
+        assert ref_generates(b.grammar, v.nt, "123")
+        assert not ref_generates(b.grammar, v.nt, "a")
 
     def test_from_nfa(self):
         from repro.lang.regex import full_match_language
 
         b = GrammarBuilder()
         v = b.from_nfa(full_match_language(parse_regex("ab*c")))
-        assert b.grammar.generates(v.nt, "abbbc")
-        assert not b.grammar.generates(v.nt, "ab")
+        assert ref_generates(b.grammar, v.nt, "abbbc")
+        assert not ref_generates(b.grammar, v.nt, "ab")
 
 
 class TestCombination:
     def test_concat(self):
         b = GrammarBuilder()
         v = b.concat(b.literal("SELECT "), b.literal("1"))
-        assert b.grammar.generates(v.nt, "SELECT 1")
+        assert ref_generates(b.grammar, v.nt, "SELECT 1")
 
     def test_concat_all_empty(self):
         b = GrammarBuilder()
         v = b.concat_all([])
-        assert b.grammar.generates(v.nt, "")
+        assert ref_generates(b.grammar, v.nt, "")
 
     def test_join(self):
         b = GrammarBuilder()
         v = b.join([b.literal("a"), b.literal("b")])
-        assert b.grammar.generates(v.nt, "a")
-        assert b.grammar.generates(v.nt, "b")
-        assert not b.grammar.generates(v.nt, "ab")
+        assert ref_generates(b.grammar, v.nt, "a")
+        assert ref_generates(b.grammar, v.nt, "b")
+        assert not ref_generates(b.grammar, v.nt, "ab")
 
     def test_join_single_passthrough(self):
         b = GrammarBuilder()
@@ -103,22 +105,22 @@ class TestRefinement:
         b = GrammarBuilder()
         v = b.any_string(DIRECT)
         refined = b.refine_regex(v, parse_regex("^[0-9]+$"), positive=True)
-        assert b.grammar.generates(refined.nt, "42")
-        assert not b.grammar.generates(refined.nt, "4a")
+        assert ref_generates(b.grammar, refined.nt, "42")
+        assert not ref_generates(b.grammar, refined.nt, "4a")
         assert DIRECT in b.labels_of(refined)
 
     def test_refine_regex_negative(self):
         b = GrammarBuilder()
         v = b.any_string()
         refined = b.refine_regex(v, parse_regex("^[0-9]+$"), positive=False)
-        assert not b.grammar.generates(refined.nt, "42")
-        assert b.grammar.generates(refined.nt, "4a")
+        assert not ref_generates(b.grammar, refined.nt, "42")
+        assert ref_generates(b.grammar, refined.nt, "4a")
 
     def test_refine_unanchored_keeps_attack(self):
         b = GrammarBuilder()
         v = b.any_string(DIRECT)
         refined = b.refine_regex(v, parse_regex("[0-9]+"), positive=True)
-        assert b.grammar.generates(refined.nt, "1'; DROP TABLE x; --")
+        assert ref_generates(b.grammar, refined.nt, "1'; DROP TABLE x; --")
 
 
 class TestImage:
@@ -126,9 +128,9 @@ class TestImage:
         b = GrammarBuilder()
         v = b.join([b.literal("a'b"), b.literal("c")])
         escaped = b.image(v, FST.escape_chars(CharSet.of("'")))
-        assert b.grammar.generates(escaped.nt, "a\\'b")
-        assert b.grammar.generates(escaped.nt, "c")
-        assert not b.grammar.generates(escaped.nt, "a'b")
+        assert ref_generates(b.grammar, escaped.nt, "a\\'b")
+        assert ref_generates(b.grammar, escaped.nt, "c")
+        assert not ref_generates(b.grammar, escaped.nt, "a'b")
 
     def test_image_keeps_taint(self):
         b = GrammarBuilder()
@@ -140,8 +142,8 @@ class TestImage:
         b = GrammarBuilder()
         star = b.charset_star(CharSet.of("a'"))
         escaped = b.image(star, FST.escape_chars(CharSet.of("'")))
-        assert b.grammar.generates(escaped.nt, "a\\'a")
-        assert not b.grammar.generates(escaped.nt, "'")
+        assert ref_generates(b.grammar, escaped.nt, "a\\'a")
+        assert not ref_generates(b.grammar, escaped.nt, "'")
 
 
 class TestWiden:
@@ -150,8 +152,8 @@ class TestWiden:
         v = b.literal("ab")
         widened = b.widen(v)
         for text in ("", "ab", "ba", "aabb"):
-            assert b.grammar.generates(widened.nt, text)
-        assert not b.grammar.generates(widened.nt, "c")
+            assert ref_generates(b.grammar, widened.nt, text)
+        assert not ref_generates(b.grammar, widened.nt, "c")
 
     def test_widen_keeps_taint(self):
         b = GrammarBuilder()
@@ -168,12 +170,12 @@ class TestCoercion:
     def test_to_str_array(self):
         b = GrammarBuilder()
         v = b.to_str(ArrVal())
-        assert b.grammar.generates(v.nt, "Array")
+        assert ref_generates(b.grammar, v.nt, "Array")
 
     def test_to_str_none(self):
         b = GrammarBuilder()
         v = b.to_str(None)
-        assert b.grammar.generates(v.nt, "")
+        assert ref_generates(b.grammar, v.nt, "")
 
 
 class TestOperandSizing:

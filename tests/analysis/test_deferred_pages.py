@@ -39,9 +39,9 @@ DEFERRED = 2
 #: alone, images forced with every policy).  A hotspot forces the
 #: seventh image, which it reaches through productions.  It reaches the
 #: fifth only through the provenance edge of the sixth's widening, so
-#: the fifth stays unbuilt and its sanitizer event's ``after`` sample
-#: comes from its plan.  An include path or strrev forces only the image
-#: its value derives from, the seventh.
+#: the fifth stays unbuilt; its sanitizer event's ``after`` was recorded
+#: when the image was taken.  An include path or strrev forces only the
+#: image its value derives from, the seventh.
 PAGES = {
     "query.php": (
         "mysql_query(\"SELECT * FROM t WHERE n = '\" . $v . \"'\");\n", 1, 1
@@ -115,6 +115,6 @@ def test_echoed_chain_has_an_xss_finding(app):
     ]
     assert findings, hotspots
     # the finding is about the forced alias, and its provenance shows
-    # the sanitizer step with the sample taken when it was forced
+    # the sanitizer step with its ``after`` sample
     steps = findings[0]["provenance"]["steps"]
     assert any(step["kind"] == "sanitizer" and step["after"] for step in steps)

@@ -114,6 +114,21 @@ class TestOperationSteps:
         assert sanitizers[0]["name"] == "addslashes"
         assert sanitizers[0]["line"] == 3
 
+    def test_sanitizer_after_is_the_output_on_before(self):
+        """``after`` is the sanitizer's own output on ``before``: the
+        shortest value here is a lone quote, which addslashes escapes."""
+        from repro.analysis.absdom import GrammarBuilder
+        from repro.php.builtins import _addslashes_fst
+
+        builder = GrammarBuilder()
+        value = builder.concat(
+            builder.literal("'"), builder.any_string(DIRECT, hint="_GET")
+        )
+        escaped = builder.image(value, _addslashes_fst(), "addslashes")
+        event = builder.grammar.origins[escaped.nt]
+        assert event["kind"] == "sanitizer"
+        assert (event["before"], event["after"]) == ("'", "\\'")
+
     def test_flow_through_unknown_call(self, check):
         """Taint carried through an unmodeled call is recorded as a
         ``flow`` step naming the call."""

@@ -7,6 +7,8 @@ import pytest
 from repro.analysis.stringtaint import StringTaintAnalysis
 from repro.lang.grammar import DIRECT, INDIRECT
 
+from ..lang.reference import ref_generates
+
 
 @pytest.fixture
 def app(tmp_path):
@@ -29,7 +31,7 @@ def query_of(result, index=0):
 
 
 def gen(result, text, index=0):
-    return result.grammar.generates(query_of(result, index), text)
+    return ref_generates(result.grammar, query_of(result, index), text)
 
 
 def labels_in_query(result, index=0):

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.lang.charset import MAX_CODEPOINT
+from repro.lang.charset import MAX_CODEPOINT, CharSet
+from repro.lang.grammar import Lit, Nonterminal
 
 # ---------------------------------------------------------------------------
 # charset algebra on raw interval tuples
@@ -575,5 +576,58 @@ def ref_intersect(grammar, root, dfa, pairs=None):
 
 
 def ref_generates(grammar, root, text: str) -> bool:
-    """Reference membership: the grammar's own CYK-style checker."""
-    return grammar.generates(root, text)
+    """Reference membership: does ``root`` derive ``text``?
+
+    A bottom-up span table (CYK-style, but directly over our symbol
+    kinds) with a per-span fixpoint so cyclic/unit/epsilon rules are
+    handled exactly.  The analysis decides membership with
+    :func:`repro.lang.earley.char_membership`; this slow, independent
+    checker is the tests' oracle for it.
+    """
+    n = len(text)
+    reach = [nt for nt in grammar.reachable(root) if nt in grammar.productions]
+    table: set[tuple[Nonterminal, int, int]] = set()
+
+    for length in range(n + 1):
+        spans = [(i, i + length) for i in range(n - length + 1)]
+        changed = True
+        while changed:
+            changed = False
+            for i, j in spans:
+                for nt in reach:
+                    if (nt, i, j) in table:
+                        continue
+                    if any(
+                        _seq_derives(text, table, rhs, 0, i, j)
+                        for rhs in grammar.productions.get(nt, ())
+                    ):
+                        table.add((nt, i, j))
+                        changed = True
+    return (root, 0, n) in table
+
+
+def _seq_derives(
+    text: str, table: set, rhs: tuple, k: int, i: int, j: int
+) -> bool:
+    """Does ``rhs[k:]`` derive ``text[i:j]``, given the span ``table``?"""
+    if k == len(rhs):
+        return i == j
+    symbol = rhs[k]
+    if isinstance(symbol, Lit):
+        split = i + len(symbol.text)
+        return (
+            split <= j
+            and text[i:split] == symbol.text
+            and _seq_derives(text, table, rhs, k + 1, split, j)
+        )
+    if isinstance(symbol, CharSet):
+        return (
+            i < j
+            and text[i] in symbol
+            and _seq_derives(text, table, rhs, k + 1, i + 1, j)
+        )
+    return any(
+        (symbol, i, split) in table
+        and _seq_derives(text, table, rhs, k + 1, split, j)
+        for split in range(i, j + 1)
+    )

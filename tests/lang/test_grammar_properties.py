@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from repro.lang.charset import CharSet
 from repro.lang.grammar import Grammar, Lit
 
+from .reference import ref_generates
+
 
 @st.composite
 def random_grammar(draw):
@@ -46,25 +48,25 @@ class TestTransformations:
     @settings(max_examples=60, deadline=None)
     def test_normalized_preserves_language(self, g, text):
         normal = g.normalized(g.start)
-        assert g.generates(g.start, text) == normal.generates(g.start, text)
+        assert ref_generates(g, g.start, text) == ref_generates(normal, g.start, text)
 
     @given(random_grammar(), short_strings())
     @settings(max_examples=60, deadline=None)
     def test_trim_preserves_language(self, g, text):
         trimmed = g.trim(g.start)
-        assert g.generates(g.start, text) == trimmed.generates(g.start, text)
+        assert ref_generates(g, g.start, text) == ref_generates(trimmed, g.start, text)
 
     @given(random_grammar(), short_strings())
     @settings(max_examples=60, deadline=None)
     def test_subgrammar_same_language_at_root(self, g, text):
         sub = g.subgrammar(g.start)
-        assert g.generates(g.start, text) == sub.generates(g.start, text)
+        assert ref_generates(g, g.start, text) == ref_generates(sub, g.start, text)
 
     @given(random_grammar())
     @settings(max_examples=60, deadline=None)
     def test_samples_are_members(self, g):
-        for sample in g.sample_strings(g.start, limit=5, max_len=10):
-            assert g.generates(g.start, sample), sample
+        for sample in g.shortest_strings(g.start, limit=5):
+            assert ref_generates(g, g.start, sample), sample
 
     @given(random_grammar())
     @settings(max_examples=40, deadline=None)
@@ -73,17 +75,17 @@ class TestTransformations:
         if strings is None:
             return  # infinite or too large — nothing to assert
         for text in strings:
-            assert g.generates(g.start, text)
+            assert ref_generates(g, g.start, text)
         # and nothing short is missing
         for text in ("", "a", "b", "ab", "ba", "aa"):
-            if g.generates(g.start, text):
+            if ref_generates(g, g.start, text):
                 assert text in strings
 
     @given(random_grammar())
     @settings(max_examples=40, deadline=None)
     def test_charset_closure_covers_samples(self, g):
         closure = g.charset_closure(g.start)
-        for sample in g.sample_strings(g.start, limit=5, max_len=10):
+        for sample in g.shortest_strings(g.start, limit=5):
             for char in sample:
                 assert char in closure
 
@@ -98,7 +100,7 @@ class TestIntersectionProperties:
 
         dfa = NFA.any_string().determinize()
         result, start = intersect(g, g.start, dfa)
-        assert result.generates(start, text) == g.generates(g.start, text)
+        assert ref_generates(result, start, text) == ref_generates(g, g.start, text)
 
     @given(random_grammar())
     @settings(max_examples=40, deadline=None)
@@ -116,4 +118,4 @@ class TestIntersectionProperties:
         from repro.lang.image import fst_image
 
         result, start = fst_image(g, g.start, FST.identity())
-        assert result.generates(start, text) == g.generates(g.start, text)
+        assert ref_generates(result, start, text) == ref_generates(g, g.start, text)

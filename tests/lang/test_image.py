@@ -7,6 +7,8 @@ from repro.lang.fst import FST
 from repro.lang.grammar import DIRECT, Grammar, Lit
 from repro.lang.image import fst_image, regular_image
 
+from .reference import ref_generates
+
 
 def literal_grammar(*texts):
     g = Grammar()
@@ -21,37 +23,37 @@ class TestLiteralImages:
     def test_identity(self):
         g, s = literal_grammar("hello")
         result, start = fst_image(g, s, FST.identity())
-        assert result.generates(start, "hello")
-        assert not result.generates(start, "world")
+        assert ref_generates(result, start, "hello")
+        assert not ref_generates(result, start, "world")
 
     def test_addslashes_image(self):
         g, s = literal_grammar("a'b")
         fst = FST.escape_chars(CharSet.of("'\"\\"))
         result, start = fst_image(g, s, fst)
-        assert result.generates(start, "a\\'b")
-        assert not result.generates(start, "a'b")
+        assert ref_generates(result, start, "a\\'b")
+        assert not ref_generates(result, start, "a'b")
 
     def test_figure6_collapse_quotes(self):
         g, s = literal_grammar("''", "'", "x''y")
         fst = FST.replace_string("''", "'")
         result, start = fst_image(g, s, fst)
-        assert result.generates(start, "'")      # from "''"
-        assert result.generates(start, "x'y")    # from "x''y"
-        assert not result.generates(start, "''")
+        assert ref_generates(result, start, "'")      # from "''"
+        assert ref_generates(result, start, "x'y")    # from "x''y"
+        assert not ref_generates(result, start, "''")
 
     def test_final_flush_appears(self):
         """A trailing partial match must be emitted (final_output path)."""
         g, s = literal_grammar("za")
         fst = FST.replace_string("ab", "X")
         result, start = fst_image(g, s, fst)
-        assert result.generates(start, "za")
+        assert ref_generates(result, start, "za")
 
     def test_alternatives(self):
         g, s = literal_grammar("cat", "dog")
         result, start = fst_image(g, s, FST.uppercase())
-        assert result.generates(start, "CAT")
-        assert result.generates(start, "DOG")
-        assert not result.generates(start, "cat")
+        assert ref_generates(result, start, "CAT")
+        assert ref_generates(result, start, "DOG")
+        assert not ref_generates(result, start, "cat")
 
 
 class TestCharsetImages:
@@ -60,16 +62,16 @@ class TestCharsetImages:
         s = g.fresh("S")
         g.add(s, (DIGITS,))
         result, start = fst_image(g, s, FST.identity())
-        assert result.generates(start, "7")
-        assert not result.generates(start, "a")
+        assert ref_generates(result, start, "7")
+        assert not ref_generates(result, start, "a")
 
     def test_charset_lowered(self):
         g = Grammar()
         s = g.fresh("S")
         g.add(s, (CharSet.range("A", "Z"),))
         result, start = fst_image(g, s, FST.lowercase())
-        assert result.generates(start, "q")
-        assert not result.generates(start, "Q")
+        assert ref_generates(result, start, "q")
+        assert not ref_generates(result, start, "Q")
 
     def test_charset_escaped(self):
         g = Grammar()
@@ -77,9 +79,9 @@ class TestCharsetImages:
         g.add(s, (CharSet.any_char(),))
         fst = FST.escape_chars(CharSet.of("'"))
         result, start = fst_image(g, s, fst)
-        assert result.generates(start, "\\'")
-        assert result.generates(start, "a")
-        assert not result.generates(start, "'")
+        assert ref_generates(result, start, "\\'")
+        assert ref_generates(result, start, "a")
+        assert not ref_generates(result, start, "'")
 
 
 class TestCyclicGrammars:
@@ -91,10 +93,10 @@ class TestCyclicGrammars:
         g.add(s, (Lit("a'"), s))
         fst = FST.escape_chars(CharSet.of("'"))
         result, start = fst_image(g, s, fst)
-        assert result.generates(start, "")
-        assert result.generates(start, "a\\'")
-        assert result.generates(start, "a\\'a\\'")
-        assert not result.generates(start, "a'")
+        assert ref_generates(result, start, "")
+        assert ref_generates(result, start, "a\\'")
+        assert ref_generates(result, start, "a\\'a\\'")
+        assert not ref_generates(result, start, "a'")
 
     def test_nested_grammar_image(self):
         g = Grammar()
@@ -103,8 +105,8 @@ class TestCyclicGrammars:
         g.add(s, (Lit("'"),))
         fst = FST.replace_chars(CharSet.of("'"), "X")
         result, start = fst_image(g, s, fst)
-        assert result.generates(start, "((X))")
-        assert not result.generates(start, "(('))")
+        assert ref_generates(result, start, "((X))")
+        assert not ref_generates(result, start, "(('))")
 
 
 class TestTaintPropagation:
@@ -118,7 +120,7 @@ class TestTaintPropagation:
         result, start = fst_image(g, s, fst)
         tainted = result.labeled_nonterminals(DIRECT)
         assert tainted
-        assert any(result.generates(nt, "\\'") for nt in tainted)
+        assert any(ref_generates(result, nt, "\\'") for nt in tainted)
 
     def test_root_labels_on_start(self):
         g = Grammar()
@@ -132,17 +134,17 @@ class TestTaintPropagation:
 class TestRegularImage:
     def test_sigma_star_escaped(self):
         result, start = regular_image(CharSet.of("a'"), FST.escape_chars(CharSet.of("'")))
-        assert result.generates(start, "")
-        assert result.generates(start, "a\\'a")
-        assert not result.generates(start, "'")
+        assert ref_generates(result, start, "")
+        assert ref_generates(result, start, "a\\'a")
+        assert not ref_generates(result, start, "'")
 
     def test_collapse_class_widening(self):
         result, start = regular_image(
             CharSet.of("ab1"), FST.collapse_class(DIGITS, "#")
         )
-        assert result.generates(start, "ab#")
-        assert result.generates(start, "#a#")
-        assert not result.generates(start, "1")
+        assert ref_generates(result, start, "ab#")
+        assert ref_generates(result, start, "#a#")
+        assert not ref_generates(result, start, "1")
 
 
 class TestDifferentialAgainstDirectApplication:
@@ -168,4 +170,4 @@ class TestDifferentialAgainstDirectApplication:
         result, start = fst_image(g, s, fst)
         for text in texts:
             for output in fst.apply_to_string(text):
-                assert result.generates(start, output), (text, output)
+                assert ref_generates(result, start, output), (text, output)

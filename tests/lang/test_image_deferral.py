@@ -1,6 +1,7 @@
 """Deferred transducer images: the plan's summary is exact, its size
-bound is a lower bound, its samples are the built image's, and a forced
-image is the eager one.
+bound is a lower bound, a sanitizer event's ``after`` is the
+transducer's output on its ``before``, and a forced image is the eager
+one.
 
 Random grammars over {a, b} (with ε rules, unit cycles and labels)
 meet transducers covering COPY and LOWER charset outputs, deletions,
@@ -18,10 +19,8 @@ from repro.lang.fst import COPY, FST
 from repro.lang.grammar import DIRECT, INDIRECT, Grammar, Lit
 from repro.analysis.provenance import trace_provenance
 from repro.lang.image import (
-    _ALIAS,
     IMAGE_CACHE,
     DeferredImage,
-    _plan_view,
     _summarize,
     fst_image,
     plan_image,
@@ -115,70 +114,44 @@ class TestPlanSummary:
             assert _shape(rebuilt, restart) == _shape(eager, eager_start)
 
 
-class TestPlanSample:
-    """``DeferredImage.sample`` is ``sample_strings`` of the alias the
-    forced image leaves (``alias → start``), whatever it samples: the
-    saved plan, a plan made again on a summary-only memo hit, the memo
-    entry's samples, or a built memo entry."""
+class TestSanitizerAfter:
+    """A sanitizer event's ``after`` is the transducer's output on its
+    ``before``, recorded when the image is taken, so a deferred image
+    and a built one report the same event."""
 
-    @given(labeled_grammar(), st.sampled_from(FSTS))
-    @settings(max_examples=80, deadline=None)
-    def test_sample_is_the_built_images(self, g, fst):
-        IMAGE_CACHE.clear()
-        eager, eager_start = fst_image(g, g.start, fst)
-        alias = eager.fresh("alias")
-        eager.add(alias, (eager_start,))
-        for limit, max_len in ((3, 48), (20, 200)):
-            expected = eager.sample_strings(alias, limit, max_len)
-            IMAGE_CACHE.clear()
-            planned = fst_image(g, g.start, fst, defer_above=0)
-            planned.release()
-            planless = fst_image(g, g.start, fst, defer_above=0)
-            assert isinstance(planless, DeferredImage)
-            assert planless.sample(limit, max_len) == expected
-            IMAGE_CACHE.clear()
-            planned = fst_image(g, g.start, fst, defer_above=0)
-            assert planned.sample(limit, max_len) == expected
-            # a later deferral reads the memo entry's samples
-            assert fst_image(
-                g, g.start, fst, defer_above=0
-            ).sample(limit, max_len) == expected
-            IMAGE_CACHE.clear()
-            fst_image(g, g.start, fst)
-            built = fst_image(g, g.start, fst, defer_above=0)
-            assert built.sample(limit, max_len) == expected
+    @pytest.mark.parametrize("app_dir", ["tiger_php_news", "utopia_news_pro"])
+    def test_after_is_the_fst_output_on_before(self, tmp_path, app_dir):
+        from repro.analysis.analyzer import entry_pages, run_pages
+        from repro.analysis.policies import PolicyConfig
+        from repro.analysis.policies.registry import REGISTRY
+        from repro.analysis.policy import VERDICT_CACHE
+        from repro.corpus import build_app
 
-    @given(labeled_grammar(), st.sampled_from(FSTS))
-    @settings(max_examples=80, deadline=None)
-    def test_view_is_the_built_image_rule_for_rule(self, g, fst):
-        """Walking the whole lazy view from the alias meets the built
-        image's rules in the same order, with one view key per image
-        nonterminal: wrappers shared, duplicates and empty literals
-        dropped alike."""
+        build_app(tmp_path, app_dir)
+        root = tmp_path / app_dir
+        seen = []
+        image = GrammarBuilder.image
+
+        def recording(builder, value, fst, hint="fx"):
+            result = image(builder, value, fst, hint)
+            deferred = result.nt in builder._deferred
+            seen.append((builder.grammar.origins[result.nt], fst, deferred))
+            return result
+
+        VERDICT_CACHE.clear()
         IMAGE_CACHE.clear()
-        image, start = fst_image(g, g.start, fst)
-        alias = image.fresh("alias")
-        image.add(alias, (start,))
-        view = _plan_view(plan_image(g, g.start, fst))
-        built_of = {_ALIAS: alias}
-        stack = [_ALIAS]
-        while stack:
-            key = stack.pop()
-            rules = view.productions.get(key, ())
-            built_rules = image.productions.get(built_of[key], ())
-            assert len(rules) == len(built_rules)
-            for rhs, built_rhs in zip(rules, built_rules):
-                assert len(rhs) == len(built_rhs)
-                for symbol, built_symbol in zip(rhs, built_rhs):
-                    if not hasattr(built_symbol, "uid"):
-                        assert symbol == built_symbol
-                        continue
-                    if symbol not in built_of:
-                        built_of[symbol] = built_symbol
-                        stack.append(symbol)
-                    assert built_of[symbol] is built_symbol
-        distinct = {id(nt) for nt in built_of.values()}
-        assert len(distinct) == len(built_of) == len(image.reachable(alias))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GrammarBuilder, "image", recording)
+            run_pages(
+                root, entry_pages(root), audit=True, jobs=1,
+                policies=PolicyConfig(enabled=tuple(REGISTRY)),
+            )
+        assert {deferred for _, _, deferred in seen} == {True, False}
+        for event, fst, _ in seen:
+            assert event["kind"] == "sanitizer"
+            outputs = fst.apply_to_string(event["before"])
+            assert event["after"] == min(outputs, default=""), event
+            assert not outputs or event["after"] in outputs
 
 
 def _shape(grammar: Grammar, start) -> tuple:

@@ -1,9 +1,9 @@
-"""``Grammar.shortest_strings``: the report samples of every cascade.
+"""``Grammar.shortest_strings``: every sample string a report shows.
 
 The search pops leftmost sentential forms by the length of their
 shortest completion, so its strings are the shortest members of
-L(root) (over the charset choices the breadth-first sampler also uses),
-in non-decreasing length.
+L(root) (over fixed charset choices: the sample character, ``'`` and
+``-``), in non-decreasing length.
 """
 
 import json
@@ -25,6 +25,8 @@ from repro.lang.charset import CharSet
 from repro.lang.earley import char_membership, char_token_grammar
 from repro.lang.grammar import Grammar, Lit
 from repro.obs.metrics import PERF
+
+from .reference import ref_generates
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -210,7 +212,7 @@ class TestMinLengths:
         lengths = [len(text) for text in got]
         assert lengths == sorted(lengths)
         assert len(set(got)) == len(got)
-        assert all(g.generates(g.start, text) for text in got)
+        assert all(ref_generates(g, g.start, text) for text in got)
         shortest = g._min_lengths(g.start).get(g.start)
         if shortest is None:
             assert got == []

@@ -9,6 +9,8 @@ from repro.analysis.analyzer import run_pages
 from repro.obs.metrics import PERF
 from repro.php.includes import IncludeResolver
 
+from ..lang.reference import ref_generates
+
 
 def make_project(tmp_path, names):
     for name in names:
@@ -193,13 +195,13 @@ def generates_filter(resolver, grammar, nt, current, limit=64):
     grammar generates, by the span-table membership test."""
     names = resolver.candidate_names(current)
     return sorted(
-        {file for text, file in names.items() if grammar.generates(nt, text)}
+        {file for text, file in names.items() if ref_generates(grammar, nt, text)}
     )[:limit]
 
 
 class TestMembershipKernel:
     """resolve() decides membership with the Earley kernel; its answer
-    must equal a ``Grammar.generates`` filter over the whole table."""
+    must equal a ``ref_generates`` filter over the whole table."""
 
     def arguments(self, builder):
         return {
@@ -245,9 +247,9 @@ class TestMembershipKernel:
 
 
 class TestIncompleteSample:
-    """The fast path may only trust a fully enumerated language: the
-    breadth-first sample drops sentential forms longer than 40 symbols,
-    so fewer samples than asked for does not mean the whole language."""
+    """The fast path may only trust a fully enumerated language: a
+    sampler drops sentential forms longer than 40 symbols, so fewer
+    samples than asked for does not mean the whole language."""
 
     LONG = "b" * 41 + ".php"
 

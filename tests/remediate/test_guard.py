@@ -8,8 +8,22 @@ round-trip into the standalone runtime."""
 
 import json
 
+from repro.analysis import quotes
 from repro.analysis.analyzer import _check_spot
+from repro.analysis.policies.base import (
+    contains_any,
+    contains_string,
+    starts_with_any,
+)
+from repro.analysis.policies.evalinj import PHP_METACHARS
+from repro.analysis.policies.registry import REGISTRY, policy_instance
+from repro.analysis.policies.shell import shell_breakout
+from repro.analysis.policies.xss import markup_capable
+from repro.analysis.policies.xss_context import _context_table
 from repro.analysis.stringtaint import StringTaintAnalysis
+from repro.lang.charset import DIGITS, CharSet
+from repro.lang.grammar import Grammar, Lit
+from repro.lang.intersect import intersection_is_empty
 from repro.remediate import guard_runtime
 from repro.remediate.guard import (
     _shortest_via,
@@ -75,6 +89,88 @@ class TestSafeHoleIntervals:
         }
         for banned in ";|&`$":
             assert ord(banned) not in allowed
+
+
+def _hole_grammar(intervals):
+    """The language a guard hole with ``intervals`` admits."""
+    grammar = Grammar()
+    hole = grammar.fresh("hole")
+    if intervals is None:
+        digits = grammar.fresh("digits")
+        grammar.add(digits, (DIGITS,))
+        grammar.add(digits, (digits, DIGITS))
+        grammar.add(hole, (digits,))
+        grammar.add(hole, (Lit("-"), digits))
+    else:
+        grammar.add(hole, ())
+        if intervals:
+            grammar.add(hole, (CharSet(intervals), hole))
+    return grammar, hole
+
+
+def _danger_languages(policy_id: str, check: str) -> list:
+    """The violation languages of one check a policy reports.  A SQL
+    check without a regular one of its own (C3–C5, and the safe
+    ``literal-position``) must keep its hole within what C3 proves
+    safe, the numeric literals."""
+    if policy_id == "sql":
+        return {
+            "odd-quotes": [quotes.odd_unescaped_quotes()],
+            "literal-position": [quotes.has_unescaped_quote()],
+            "literal-break": [quotes.has_unescaped_quote()],
+            "attack-string": [
+                quotes.non_confinable_substrings(),
+                quotes.non_numeric_literals(),
+            ],
+        }.get(check, [quotes.non_numeric_literals()])
+    if policy_id == "xss-context":
+        return [
+            danger
+            for rule, dangers, _ in _context_table().values()
+            if rule == check
+            for danger in dangers
+        ]
+    return {
+        "xss": [markup_capable()],
+        "shell": [shell_breakout()],
+        "path": [
+            contains_string(".."),
+            starts_with_any(("/", "\\")),
+            contains_any(":\0"),
+        ],
+        "eval": [contains_any(PHP_METACHARS)],
+    }[policy_id]
+
+
+class TestHolesAvoidDanger:
+    def test_every_reported_check_has_a_hole_outside_its_danger(self):
+        """No string of a check's guard hole is in that check's danger
+        language, for every check of every registered policy."""
+        for policy_id in REGISTRY:
+            for rule in policy_instance(policy_id).rules:
+                check = rule["id"]
+                dangers = _danger_languages(policy_id, check)
+                assert dangers, (policy_id, check)
+                grammar, hole = _hole_grammar(
+                    safe_hole_intervals(check, policy_id)
+                )
+                for danger in dangers:
+                    assert intersection_is_empty(grammar, hole, danger), (
+                        policy_id, check,
+                    )
+
+    def test_context_attacks_fall_outside_their_holes(self):
+        for check, attack in (
+            ("xss-context-url", "javascript:alert(1)"),
+            ("xss-context-attr", "a onmouseover=alert(1)"),
+            ("xss-context-js", "x;alert(1)//"),
+            ("xss-context-unknown", "x;alert(1)//"),
+        ):
+            intervals = safe_hole_intervals(check, "xss-context")
+            assert not all(
+                any(lo <= ord(char) <= hi for lo, hi in intervals)
+                for char in attack
+            ), check
 
 
 class TestCompileGuard:

@@ -96,10 +96,6 @@ def analysis_wall(document: dict) -> float | None:
     return document.get("perf", {}).get("timers", {}).get("run.pages_wall")
 
 
-#: farm counters worth surfacing per app
-FARM_COUNTERS = ("farm.tasks.stolen",)
-
-
 def bench_daemon(app_root: Path, serial_doc: dict) -> dict:
     """Cold / warm / post-single-edit request walls against one
     ``sqlciv serve`` process (README "Server mode")."""
@@ -200,12 +196,6 @@ def bench_app(name: str, jobs: int) -> dict:
         degraded = cpu_count < jobs
         serial_analysis = analysis_wall(serial_doc)
         parallel_analysis = analysis_wall(parallel_doc)
-        parallel_counters = parallel_doc.get("perf", {}).get("counters", {})
-        farm = {
-            key: parallel_counters[key]
-            for key in FARM_COUNTERS
-            if parallel_counters.get(key)
-        }
         return {
             "app": name,
             "pages": len(serial_doc["pages"]),
@@ -250,7 +240,6 @@ def bench_app(name: str, jobs: int) -> dict:
                 None if degraded else round(serial_wall / parallel_wall, 2)
             ),
             **({"degraded": "cpu_count < jobs"} if degraded else {}),
-            **({"farm_counters": farm} if farm else {}),
             "warm_speedup": round(cold_wall / warm_wall, 2),
             "phase2_cascades_cold": cold_counters.get("policy.check_cascades", 0),
             "phase2_cascades_warm": executed,

@@ -10,7 +10,7 @@ deduplicated diagnostics for unmodeled or widened constructs.
 
 Pages are independent ``main``\\ s (paper §5.3), which makes the driver
 embarrassingly parallel: :func:`run_pages` fans pages out to the
-analysis farm (:mod:`repro.farm` — persistent work-stealing workers)
+analysis farm (:mod:`repro.farm` — persistent workers on one task queue)
 when ``jobs > 1`` and merges the per-page :class:`PageResult` records back
 **in page order**, so the aggregate report is deterministic —
 byte-identical to a serial run — regardless of worker scheduling.
@@ -467,12 +467,12 @@ def run_pages(
     ``jobs=1`` is today's exact serial path: pages run in-process and
     share one parse cache and include resolver.  ``jobs>1`` fans work
     out to the analysis farm (:mod:`repro.farm`): a pool of persistent
-    work-stealing workers, each running the serial per-page path with
-    its own content-addressed memos.  Because a page's analysis is a
-    pure function of the project tree — and every memo entry is keyed by
-    content — the per-page results are identical either way,
-    and merging in input order makes the whole run order-insensitive to
-    worker completion.
+    workers pulling pages off one queue, each running the serial
+    per-page path with its own content-addressed memos.  Because a
+    page's analysis is a pure function of the project tree — and every
+    memo entry is keyed by content — the per-page results are identical
+    either way, and merging in input order makes the whole run
+    order-insensitive to worker completion.
 
     ``cache_max_mb`` caps the on-disk cache (LRU-by-atime pruning, see
     :meth:`DiskCache.prune`).  ``parse_cache`` lets a long-lived caller

@@ -1,15 +1,14 @@
 """The farm driver: persistent workers, page fan-out, page-order merge.
 
-:class:`AnalysisFarm` owns the pool — one task queue per worker, one
-shared result queue and a stop event.  Workers are plain daemon
-processes running :func:`repro.farm.workers.farm_worker_main`; they
-survive across batches, so a long-lived caller (the analysis daemon)
-pays fork and warm-up once and shares one pool across every resident
-project.
+:class:`AnalysisFarm` owns the pool — one shared task queue, one shared
+result queue and a stop event.  Workers are plain daemon processes
+running :func:`repro.farm.workers.farm_worker_main`; they survive
+across batches, so a long-lived caller (the analysis daemon) pays fork
+and warm-up once and shares one pool across every resident project.
 
-:meth:`map_pages` runs one batch: the entry pages, placed LPT-first by
-:class:`WorkStealingScheduler` (costed by file size) with runtime
-stealing between the workers themselves.
+:meth:`map_pages` runs one batch: the entry pages go onto the task
+queue largest entry file first, and each idle worker pulls the largest
+page left — the greedy longest-processing-time list schedule.
 
 Determinism: results are merged **in page order** and every per-task
 perf delta is merged into the driver's recorder — so output documents
@@ -39,7 +38,6 @@ from pathlib import Path
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE
 
-from .scheduler import FarmTask, WorkStealingScheduler
 from .workers import BatchConfig, farm_worker_main
 
 
@@ -47,15 +45,15 @@ class FarmWorkerDied(RuntimeError):
     """A farm worker process is gone; the farm cannot run batches."""
 
 
-def _file_cost(path: Path) -> float:
+def _file_cost(path: Path) -> int:
     try:
-        return float(path.stat().st_size) + 1.0
+        return path.stat().st_size
     except OSError:
-        return 1.0
+        return 0
 
 
 class AnalysisFarm:
-    """A persistent work-stealing worker pool.
+    """A persistent worker pool fed from one task queue.
 
     Batches are serialized by an internal lock — concurrent daemon
     clients queue up rather than interleave task streams — but the pool
@@ -69,19 +67,13 @@ class AnalysisFarm:
         self._batch_lock = threading.Lock()
         self._batch_counter = 0
         self._stop = self._ctx.Event()
-        #: released once per queued task (and once per worker at
-        #: shutdown): what idle workers block on
-        self._ready = self._ctx.Semaphore(0)
-        self._task_queues = [self._ctx.Queue() for _ in range(self.jobs)]
+        self._task_queue = self._ctx.Queue()
         self._result_queue = self._ctx.Queue()
         self._workers = []
         for index in range(self.jobs):
             process = self._ctx.Process(
                 target=farm_worker_main,
-                args=(
-                    index, self._task_queues, self._ready,
-                    self._result_queue, self._stop,
-                ),
+                args=(self._task_queue, self._result_queue, self._stop),
                 daemon=True,
                 name=f"farm-worker-{index}",
             )
@@ -114,8 +106,8 @@ class AnalysisFarm:
         policies, profile, epoch,
     ) -> list:
         self._batch_counter += 1
-        # a live worker would steal a dead one's share, and the batch
-        # would look healthy: refuse it up front instead
+        # a live worker would pull a dead one's share off the queue, and
+        # the batch would look healthy: refuse it up front instead
         self._check_workers()
         config = BatchConfig(
             root=str(root),
@@ -129,37 +121,31 @@ class AnalysisFarm:
             epoch=epoch,
             batch_id=f"{os.getpid()}:{self._batch_counter}",
         )
-        scheduler = WorkStealingScheduler(self.jobs)
-        scheduler.plan([
-            FarmTask(index, "page", _file_cost(Path(page)),
-                     ("page", config, str(page), index))
-            for index, page in enumerate(pages)
-        ])
-        for worker_index, planned in enumerate(scheduler.queues):
-            for task in planned:
-                self._task_queues[worker_index].put(task.payload)
-                self._ready.release()
+        # largest entry file first, page order breaking ties: each idle
+        # worker then pulls the largest page left
+        order = sorted(
+            range(len(pages)),
+            key=lambda index: (-_file_cost(Path(pages[index])), index),
+        )
+        for index in order:
+            self._task_queue.put(("page", config, str(pages[index]), index))
         try:
             return self._collect(config, len(pages))
         except Exception:
             # A failed batch must not poison the persistent farm: pull
-            # its undispatched tasks back out of the worker queues.
-            # Tasks a worker already took will still emit envelopes
-            # later, but they carry this batch's id, so the next
-            # batch's _collect discards them.
-            self._drain_task_queues()
+            # its undispatched tasks back out of the task queue.  Tasks
+            # a worker already took will still emit envelopes later,
+            # but they carry this batch's id, so the next batch's
+            # _collect discards them.
+            self._drain_task_queue()
             raise
 
-    def _drain_task_queues(self) -> None:
-        for task_queue in self._task_queues:
-            while True:
-                try:
-                    task_queue.get_nowait()
-                except queue_mod.Empty:
-                    break
-                # the drained task's token (a worker may already hold
-                # it; it then finds nothing and waits again)
-                self._ready.acquire(block=False)
+    def _drain_task_queue(self) -> None:
+        while True:
+            try:
+                self._task_queue.get_nowait()
+            except queue_mod.Empty:
+                return
 
     def _collect(self, config, n_pages) -> list:
         results: list = [None] * n_pages
@@ -178,11 +164,9 @@ class AnalysisFarm:
                 PERF.incr("farm.envelopes.stale_dropped")
                 continue
             outstanding -= 1
-            kind, *fields, perf, stolen = envelope
+            kind, *fields, perf = envelope
             if perf:
                 PERF.merge(perf)
-            if stolen:
-                PERF.incr("farm.tasks.stolen")
             if kind == "page":
                 index, result = fields
                 results[index] = result
@@ -215,14 +199,17 @@ class AnalysisFarm:
 
     def shutdown(self) -> None:
         self._stop.set()
+        # one stop task per worker: an idle worker holds the queue's
+        # read lock while it waits, so without these every shutdown
+        # would wait out the workers' idle recheck
         for _ in self._workers:
-            self._ready.release()
+            self._task_queue.put(None)
         for process in self._workers:
             process.join(timeout=2.0)
         for process in self._workers:
             if process.is_alive():
                 process.terminate()
-        for q in self._task_queues + [self._result_queue]:
+        for q in (self._task_queue, self._result_queue):
             q.cancel_join_thread()
             q.close()
 

@@ -1,13 +1,12 @@
 """Farm worker processes: the execution side of the analysis farm.
 
-Each worker owns one task queue and loops: wait on the farm's shared
-``ready`` semaphore (the driver releases it once per queued task), then
-take from its own queue (FIFO — the driver placed the biggest tasks
-first), else **steal** the front of the most convenient victim's queue.
-An idle worker is blocked in the semaphore wait and costs no CPU.  A
-task is one entry page, run through the exact
-:func:`_page_result` path a serial run takes (disk cache, phase 1,
-phase 2, audit).
+Every worker loops on the farm's one shared task queue: it takes the
+next task (the driver queued the largest entry files first), runs it
+and puts the envelope on the result queue.  An idle worker is blocked
+in the queue wait and costs no CPU.  A ``None`` task, one per worker at
+shutdown, makes it exit.  A task is one entry page, run through the
+exact :func:`_page_result` path a serial run takes (disk cache, phase
+1, phase 2, audit).
 
 Every envelope carries the worker's :meth:`PERF.diff` for the task, so
 the driver's merged counters are scheduling-invariant.  Workers keep
@@ -107,7 +106,7 @@ def _profile_ipc(config: BatchConfig, result: PageResult) -> None:
         append_span(result.timeline, "pickle", started, finished, bytes=size)
 
 
-def _execute(task, stolen: bool):
+def _execute(task):
     """Run one page task; the envelope the driver's collect loop reads."""
     _, config, page, index = task
     before = PERF.snapshot()
@@ -127,68 +126,28 @@ def _execute(task, stolen: bool):
         )
         _profile_ipc(config, result)
         result.perf = None
-        return ("page", index, result, PERF.diff(before), stolen)
+        return ("page", index, result, PERF.diff(before))
     except Exception:
-        return ("error", "page", traceback.format_exc(), PERF.diff(before), stolen)
+        return ("error", "page", traceback.format_exc(), PERF.diff(before))
 
 
-#: How long an idle worker blocks before it looks at the queues anyway:
-#: a safety net for a task whose token was spent without taking it (see
-#: :func:`_take_after_wake`), not a polling interval.
+#: How long an idle worker waits on the task queue before it looks at
+#: the stop event: the way out for a worker that never sees shutdown's
+#: ``None`` because a killed peer died holding the queue's read lock,
+#: not a polling interval.
 _IDLE_RECHECK_S = 0.5
 
-#: How long a woken worker keeps looking for the task its token stands
-#: for, and how often.
-_WAKE_PATIENCE_S = 0.05
-_WAKE_RETRY_S = 0.001
 
-
-def _take(own, victims):
-    """``(task, stolen)`` from the own queue, else a victim's, else
-    ``(None, False)``."""
-    try:
-        return own.get_nowait(), False
-    except queue.Empty:
-        pass
-    for victim in victims:
+def farm_worker_main(task_queue, result_queue, stop_event):
+    """One worker process: take the next task, until told to stop."""
+    while not stop_event.is_set():
         try:
-            return victim.get_nowait(), True
+            task = task_queue.get(timeout=_IDLE_RECHECK_S)
         except queue.Empty:
             continue
-    return None, False
-
-
-def _take_after_wake(own, victims):
-    """:func:`_take`, retried briefly: a ``multiprocessing.Queue`` hands
-    a ``put`` to a feeder thread, so right after the driver's release
-    the task may not have reached its pipe yet.  An empty result after
-    the retries means the token's task is gone (drained by an aborted
-    batch) or the token was shutdown's."""
-    deadline = time.monotonic() + _WAKE_PATIENCE_S
-    while True:
-        task, stolen = _take(own, victims)
-        if task is not None or time.monotonic() >= deadline:
-            return task, stolen
-        time.sleep(_WAKE_RETRY_S)
-
-
-def farm_worker_main(index, task_queues, ready, result_queue, stop_event):
-    """One worker process: wait → take or steal, until told to stop."""
-    own = task_queues[index]
-    victims = [
-        task_queues[(index + step) % len(task_queues)]
-        for step in range(1, len(task_queues))
-    ]
-    while not stop_event.is_set():
-        if ready.acquire(timeout=_IDLE_RECHECK_S):
-            if stop_event.is_set():
-                break
-            task, stolen = _take_after_wake(own, victims)
-        else:
-            task, stolen = _take(own, victims)
         if task is None:
-            continue
+            return
         # every envelope is tagged with its batch id so the driver can
         # discard leftovers from an aborted batch instead of mistaking
         # them for the current batch's results
-        result_queue.put((task[1].batch_id, _execute(task, stolen)))
+        result_queue.put((task[1].batch_id, _execute(task)))

@@ -48,7 +48,7 @@ class TestBatchIsolation:
         # a leftover page envelope from some earlier (aborted) batch:
         # wrong tag, poisoned payload at index 0
         farm._result_queue.put(
-            ("some-dead-batch", ("page", 0, "POISON", None, False))
+            ("some-dead-batch", ("page", 0, "POISON", None))
         )
         before = stale_counter()
         results = farm.map_pages(app, [str(app / "index.php")])
@@ -64,7 +64,7 @@ class TestBatchIsolation:
         # collect loop treats it as a real in-batch failure
         first_batch = f"{os.getpid()}:1"
         farm._result_queue.put(
-            (first_batch, ("error", "page", "synthetic failure", None, False))
+            (first_batch, ("error", "page", "synthetic failure", None))
         )
         with pytest.raises(RuntimeError, match="synthetic failure"):
             farm.map_pages(app, [str(app / "index.php")])

@@ -1,8 +1,10 @@
-"""Idle cost and fault injection for the farm's worker processes.
+"""Idle cost, shutdown and fault injection for the farm's workers.
 
-An idle worker blocks on the farm's ``ready`` semaphore, so a resident
-farm costs no CPU between batches.  A worker killed with SIGKILL —
-blocked idle, or in the middle of a task — must make the batch raise
+An idle worker blocks on the farm's shared task queue, so a resident
+farm costs no CPU between batches, and ``shutdown()`` wakes it with a
+``None`` task rather than waiting out its idle recheck.  A worker
+killed with SIGKILL — blocked idle, perhaps holding the task queue's
+read lock, or in the middle of a task — must make the batch raise
 :class:`FarmWorkerDied` within two seconds, and ``shutdown()`` must
 still return promptly.
 """
@@ -69,6 +71,18 @@ def test_idle_workers_use_no_cpu(app):
         assert all(seconds <= 0.02 for seconds in used), used
     finally:
         farm.shutdown()
+
+
+def test_idle_shutdown_is_prompt(app):
+    farm = AnalysisFarm(2)
+    try:
+        assert len(farm.map_pages(app, [str(app / "index.php")])) == 1
+        # the worker that ran the page has just started a fresh idle
+        # wait; only the None it is sent can end that wait early
+        time.sleep(0.1)
+    finally:
+        elapsed = timed_shutdown(farm)
+    assert elapsed < 0.3 < farm_workers._IDLE_RECHECK_S, elapsed
 
 
 def test_worker_killed_while_idle(app):

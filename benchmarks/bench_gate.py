@@ -24,9 +24,12 @@ at the same tolerance.  ``--fuzz --update`` re-calibrates that budget
 only.
 
 ``--startup`` gates what every process pays before and after its
-analysis: the median CPU (user + system) of ``sqlciv --help`` and of an
-e107 run served entirely from a warm ``--cache-dir``, each of ``--reps``
-fresh processes, against ``startup_cpu_seconds`` at the same tolerance.
+analysis: the median CPU (user + system) of ``sqlciv --help``, of an
+e107 run served entirely from a warm ``--cache-dir`` and of importing
+the analysis stack (``import repro.analysis.cli``, then
+``load_analysis_stack()``: what a cold run pays before its first page),
+each of ``--reps`` fresh processes, against ``startup_cpu_seconds`` at
+the same tolerance.
 ``--startup --update --reps 5`` re-calibrates those budgets only, at the
 best of the reps times the headroom factor.
 
@@ -263,16 +266,25 @@ def process_cpu(command: list[str], env: dict) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+#: a fresh process that imports the analysis stack and nothing else
+STACK_IMPORT = (
+    "import repro.analysis.cli\n"
+    "from repro.analysis.analyzer import load_analysis_stack\n"
+    "load_analysis_stack()\n"
+)
+
+
 def measure_startup(reps: int) -> dict[str, list[float]]:
-    """``reps`` CPU samples each of ``sqlciv --help`` and of a warm
-    :data:`STARTUP_APP` run, alternating, after one untimed cold run
-    that fills the cache (and writes the bytecode, where allowed)."""
+    """``reps`` CPU samples each of ``sqlciv --help``, of a warm
+    :data:`STARTUP_APP` run and of :data:`STACK_IMPORT`, alternating,
+    after one untimed cold run that fills the cache (and writes the
+    bytecode, where allowed)."""
     from repro.corpus import build_app
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     cli = [sys.executable, "-m", "repro.analysis.cli"]
-    samples: dict[str, list[float]] = {"help": [], "warm_run": []}
+    samples: dict[str, list[float]] = {"help": [], "warm_run": [], "stack_import": []}
     with tempfile.TemporaryDirectory(prefix="benchgate-startup-") as tmp:
         build_app(Path(tmp), STARTUP_APP)
         warm = cli + [
@@ -283,13 +295,17 @@ def measure_startup(reps: int) -> dict[str, list[float]]:
         for _ in range(reps):
             samples["help"].append(process_cpu(cli + ["--help"], env))
             samples["warm_run"].append(process_cpu(warm, env))
+            samples["stack_import"].append(
+                process_cpu([sys.executable, "-c", STACK_IMPORT], env)
+            )
     return samples
 
 
 def gate_startup(budgets: dict, reps: int, tolerance: float, update: bool) -> int:
     """Fail when start-up costs more CPU than its budget."""
     print(
-        f"measuring sqlciv --help and a warm {STARTUP_APP} run "
+        f"measuring sqlciv --help, a warm {STARTUP_APP} run and the "
+        "analysis-stack import "
         f"({reps} fresh processes each) ...",
         flush=True,
     )

@@ -251,15 +251,6 @@ def main(argv: list[str] | None = None, startup: Startup | None = None) -> int:
     if args.jobs < 0:
         parser.error("--jobs must be >= 1 (or 0 for one per CPU core)")
 
-    policies = None
-    if args.policy_config:
-        from .policies import PolicyConfigError, load_policy_config
-
-        try:
-            policies = load_policy_config(args.policy_config)
-        except PolicyConfigError as exc:
-            parser.error(f"--policy-config: {exc}")
-
     PERF.reset()
     # both views render the same recorder's page captures; only the
     # trace carries per-span perf deltas
@@ -269,6 +260,18 @@ def main(argv: list[str] | None = None, startup: Startup | None = None) -> int:
     GC_PROBE.configure(bool(args.profile))
     if startup is not None:
         TIMELINE.add("startup", startup.start, startup.end)
+
+    policies = None
+    if args.policy_config:
+        # validating a config imports every policy, and through them the
+        # analysis stack: start-up work, on the timeline as such
+        with TIMELINE.phase("startup"):
+            from .policies import PolicyConfigError, load_policy_config
+
+            try:
+                policies = load_policy_config(args.policy_config)
+            except PolicyConfigError as exc:
+                parser.error(f"--policy-config: {exc}")
 
     if args.pages:
         pages = [root / page for page in args.pages]

@@ -43,7 +43,9 @@ log = logging.getLogger(__name__)
 #: "9": witnesses, example queries and provenance ``before`` samples
 #: are shortest-first, and a sanitizer's ``after`` is its transducer's
 #: output on ``before`` — stored reports must not replay the old ones.
-ANALYZER_CACHE_VERSION = "9"
+#: "10": AST and regex nodes are plain classes, no longer dataclasses —
+#: ``ast/`` entries pickled from the old classes are not reused.
+ANALYZER_CACHE_VERSION = "10"
 
 #: extensions the include resolver scans — part of the project state
 RESOLVER_EXTENSIONS = (".php", ".inc", ".html", ".tpl")

@@ -16,10 +16,10 @@ pickle across worker processes, and digest deterministically — the
 digest participates in the disk-cache page key, so switching configs
 can never replay another config's verdicts.
 
-PyYAML is used when available; a minimal indentation-based subset
-parser (:func:`_mini_yaml`) covers the schema otherwise, so the feature
-has no hard third-party dependency.  All schema violations raise the
-typed :class:`PolicyConfigError`.
+Configs are read by one in-tree parser for the schema's YAML subset
+(:func:`_mini_yaml`), so what a config means never depends on whether
+PyYAML is installed, and reading one imports no YAML library.  All
+schema violations raise the typed :class:`PolicyConfigError`.
 """
 
 from __future__ import annotations
@@ -140,14 +140,8 @@ def load_policy_config(path: str | Path) -> PolicyConfig:
 
 
 def parse_policy_yaml(text: str, source: str = "<policy-config>"):
-    try:
-        import yaml  # noqa: PLC0415 - optional dependency
-    except ImportError:
-        return _mini_yaml(text, source)
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise PolicyConfigError(f"{source}: invalid YAML: {exc}") from exc
+    """The document a policy config's text holds (:func:`_mini_yaml`)."""
+    return _mini_yaml(text, source)
 
 
 def config_from_dict(data, source: str = "<policy-config>") -> PolicyConfig:

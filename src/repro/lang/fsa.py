@@ -19,7 +19,52 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .charset import CharSet, partition_charsets
+from .charset import CharSet
+
+
+def _alphabet(
+    labels: Iterable[CharSet],
+) -> tuple[dict[CharSet, list[int]], list[list[tuple[int, int]]]]:
+    """Refine ``labels`` into the coarsest classes that each label holds
+    whole or not at all: two codepoints share a class when exactly the
+    same labels contain them.  Returns the classes each label holds, in
+    ascending order, and each class's intervals.  Classes are numbered
+    by their lowest codepoint."""
+    labels = list(labels)
+    bounds = sorted(
+        {lo for label in labels for lo, _ in label.intervals}
+        | {hi + 1 for label in labels for _, hi in label.intervals}
+    )
+    index_of = {bound: index for index, bound in enumerate(bounds)}
+    spans = [
+        [(index_of[lo], index_of[hi + 1]) for lo, hi in label.intervals]
+        for label in labels
+    ]
+    signature = [0] * max(len(bounds) - 1, 0)
+    for bit, label_spans in enumerate(spans):
+        for first, stop in label_spans:
+            for index in range(first, stop):
+                signature[index] |= 1 << bit
+    class_of_signature: dict[int, int] = {}
+    class_of_index: list[int] = []
+    pieces: list[list[tuple[int, int]]] = []
+    for index, sig in enumerate(signature):
+        if not sig:
+            class_of_index.append(-1)  # a gap no label covers
+            continue
+        number = class_of_signature.get(sig)
+        if number is None:
+            number = class_of_signature[sig] = len(pieces)
+            pieces.append([])
+        pieces[number].append((bounds[index], bounds[index + 1] - 1))
+        class_of_index.append(number)
+    covers = {
+        label: sorted(
+            {class_of_index[index] for first, stop in label_spans for index in range(first, stop)}
+        )
+        for label, label_spans in zip(labels, spans)
+    }
+    return covers, pieces
 
 
 class NFA:
@@ -182,15 +227,6 @@ class NFA:
                     stack.append(nxt)
         return frozenset(closure)
 
-    def _state_closure(self, state: int, memo: dict[int, frozenset[int]]) -> frozenset[int]:
-        """Single-state epsilon closure with memoization (closure of a
-        set is the union of its members' closures)."""
-        cached = memo.get(state)
-        if cached is None:
-            cached = self.epsilon_closure([state])
-            memo[state] = cached
-        return cached
-
     def accepts_string(self, text: str) -> bool:
         current = self.epsilon_closure([self.start])
         for char in text:
@@ -205,41 +241,105 @@ class NFA:
         return bool(current & self.accepts)
 
     def determinize(self) -> "DFA":
-        """Subset construction with on-the-fly alphabet refinement."""
+        """Subset construction over the NFA's refined alphabet.
+
+        The alphabet is refined once for the whole automaton
+        (:func:`_alphabet`), each state becomes a row ``class → ε-closed
+        targets`` and each subset a bitmask of states.  A subset's
+        out-edges group its classes by target subset, in the order of
+        each target's lowest codepoint, which is also the order new
+        subsets are numbered in: the same DFA, state for state and edge
+        for edge, as refining the alphabet per subset
+        (``tests/lang/reference.py``)."""
+        transitions = self.transitions
+        covers, pieces = _alphabet(
+            {label for edges in transitions.values() for label, _ in edges}
+        )
+        closures: dict[int, int] = {}
+
+        def closure(state: int) -> int:
+            mask = closures.get(state)
+            if mask is None:
+                mask = 0
+                stack = [state]
+                while stack:
+                    current = stack.pop()
+                    bit = 1 << current
+                    if not mask & bit:
+                        mask |= bit
+                        stack.extend(self.epsilons.get(current, ()))
+                closures[state] = mask
+            return mask
+
+        rows: dict[int, dict[int, int]] = {}
+
+        def row(state: int) -> dict[int, int]:
+            """One NFA state's ε-closed targets on each class it moves on."""
+            found = rows.get(state)
+            if found is None:
+                found = rows[state] = {}
+                for label, dst in transitions[state]:
+                    mask = closure(dst)
+                    for index in covers[label]:
+                        found[index] = found.get(index, 0) | mask
+            return found
+
+        accept_mask = has_edges = 0
+        for state in self.accepts:
+            accept_mask |= 1 << state
+        for state, edges in transitions.items():
+            if edges:
+                has_edges |= 1 << state
+        class_labels: dict[tuple[int, ...], CharSet] = {}
+
+        def label_of(indices: tuple[int, ...]) -> CharSet:
+            label = class_labels.get(indices)
+            if label is None:
+                label = class_labels[indices] = CharSet(
+                    [piece for index in indices for piece in pieces[index]]
+                )
+            return label
+
         dfa = DFA()
-        closure_memo: dict[int, frozenset[int]] = {}
-        start = self.epsilon_closure([self.start])
-        state_ids: dict[frozenset[int], int] = {start: dfa.new_state()}
-        dfa.start = state_ids[start]
-        if start & self.accepts:
-            dfa.accepts.add(dfa.start)
+        start = closure(self.start)
+        state_ids = {start: dfa.new_state()}
+        dfa.start = 0
+        if start & accept_mask:
+            dfa.accepts.add(0)
         queue = deque([start])
         while queue:
             subset = queue.popleft()
-            src_id = state_ids[subset]
-            out_edges = [
-                (label, dst)
-                for state in subset
-                for label, dst in self.transitions.get(state, ())
-            ]
-            if not out_edges:
+            members = subset & has_edges
+            if not members:
                 continue
-            for cls in partition_charsets([label for label, _ in out_edges]):
-                targets: set[int] = set()
-                for label, dst in out_edges:
-                    if dst not in targets and cls.overlaps(label):
-                        targets.add(dst)
-                target_closure: set[int] = set()
-                for dst in targets:
-                    target_closure |= self._state_closure(dst, closure_memo)
-                target = frozenset(target_closure)
-                if target not in state_ids:
-                    state_ids[target] = dfa.new_state()
-                    if target & self.accepts:
-                        dfa.accepts.add(state_ids[target])
+            low = members & -members
+            members ^= low
+            moves = row(low.bit_length() - 1)
+            if members:
+                moves = dict(moves)
+                while members:
+                    low = members & -members
+                    members ^= low
+                    for index, mask in row(low.bit_length() - 1).items():
+                        moves[index] = moves.get(index, 0) | mask
+            groups: dict[int, list[int]] = {}
+            for index in sorted(moves):
+                target = moves[index]
+                group = groups.get(target)
+                if group is None:
+                    groups[target] = [index]
+                else:
+                    group.append(index)
+            edges = []
+            for target, indices in groups.items():
+                dst = state_ids.get(target)
+                if dst is None:
+                    dst = state_ids[target] = dfa.new_state()
+                    if target & accept_mask:
+                        dfa.accepts.add(dst)
                     queue.append(target)
-                dfa.add_edge(src_id, cls, state_ids[target])
-        dfa._merge_parallel_edges()
+                edges.append((label_of(tuple(indices)), dst))
+            dfa.transitions[state_ids[subset]] = edges
         return dfa
 
     def is_empty(self) -> bool:
@@ -448,78 +548,70 @@ class DFA:
         return self.difference(other).is_empty()
 
     def minimize(self) -> "DFA":
-        """Moore's partition-refinement minimization over refined classes."""
+        """Moore's partition-refinement minimization.
+
+        A state's signature is its block and the block it reaches on each
+        class of the live labels' alphabet (:func:`_alphabet`).  Blocks
+        are numbered by their lowest state; each block's edges are its
+        lowest state's, merged per target block (the other members' edges
+        cover the same classes)."""
         live = self.live_states()
         if self.start not in live:
             empty = DFA()
             empty.start = empty.new_state()
             return empty
         states = sorted(live)
-        labels = [
-            label
+        live_edges = {
+            s: [(label, dst) for label, dst in self.transitions.get(s, ()) if dst in live]
             for s in states
-            for label, dst in self.transitions.get(s, ())
-            if dst in live
-        ]
-        classes = partition_charsets(labels) if labels else []
+        }
+        covers, pieces = _alphabet(
+            {label for edges in live_edges.values() for label, _ in edges}
+        )
 
-        # destination table computed once: dest_table[s][i] is where state
-        # s goes on refinement class i (None = dead).  The old code
-        # re-scanned the edge list for every (state, class) pair on every
-        # refinement round.
+        # dest_table[s][i] is where state s goes on class i (None = dead)
         dest_table: dict[int, list[int | None]] = {}
         for s in states:
-            edges = [
-                (label, dst)
-                for label, dst in self.transitions.get(s, ())
-                if dst in live
-            ]
-            row: list[int | None] = []
-            for cls in classes:
-                found = None
-                for label, dst in edges:
-                    if cls.overlaps(label):
-                        found = dst
-                        break
-                row.append(found)
+            row: list[int | None] = [None] * len(pieces)
+            for label, dst in live_edges[s]:
+                for index in covers[label]:
+                    row[index] = dst
             dest_table[s] = row
 
-        partition: dict[int, object] = {s: (s in self.accepts) for s in states}
+        partition: dict[int | None, object] = {s: (s in self.accepts) for s in states}
+        partition[None] = None
+        count = len(set(partition.values())) - 1
         while True:
             blocks: dict[object, int] = {}
-            new_partition = {}
+            new_partition: dict[int | None, object] = {None: None}
+            block_of = partition.__getitem__
             for s in states:
-                key = (
-                    partition[s],
-                    tuple(
-                        None if dst is None else partition[dst]
-                        for dst in dest_table[s]
-                    ),
-                )
+                key = (partition[s], tuple(map(block_of, dest_table[s])))
                 block = blocks.get(key)
                 if block is None:
                     block = len(blocks)
                     blocks[key] = block
                 new_partition[s] = block
-            if len(blocks) == len(set(partition.values())):
-                partition = new_partition
-                break
             partition = new_partition
+            if len(blocks) == count:
+                break
+            count = len(blocks)
 
         result = DFA()
-        result.num_states = len(set(partition.values()))
+        result.num_states = count
         result.start = partition[self.start]
         result.accepts = {partition[s] for s in self.accepts if s in live}
-        added: set[tuple[int, CharSet, int]] = set()
         for s in states:
-            for label, dst in self.transitions.get(s, ()):
-                if dst not in live:
-                    continue
-                edge = (partition[s], label, partition[dst])
-                if edge not in added:
-                    added.add(edge)
-                    result.add_edge(*edge)
-        result._merge_parallel_edges()
+            block = partition[s]
+            if block in result.transitions or not live_edges[s]:
+                continue
+            by_target: dict[int, list[CharSet]] = {}
+            for label, dst in live_edges[s]:
+                by_target.setdefault(partition[dst], []).append(label)
+            result.transitions[block] = [
+                (merged[0] if len(merged) == 1 else CharSet.union_of(merged), target)
+                for target, merged in by_target.items()
+            ]
         return result
 
     def to_nfa(self) -> NFA:

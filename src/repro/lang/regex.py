@@ -24,7 +24,7 @@ languages coincide), alternation, capturing and ``(?:…)`` groups, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charset import ALNUM, CharSet, DIGITS, SPACE, WORD
 from .fsa import NFA
@@ -39,61 +39,107 @@ class RegexError(ValueError):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Node:
-    pass
+    """A regex AST node: an immutable value (equal and hashing by its
+    ``_fields``), written as a plain class so importing this module
+    generates no code (DESIGN §5n)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
 
 
-@dataclass(frozen=True)
 class Chars(Node):
     """One character drawn from a set."""
 
-    charset: CharSet
+    __slots__ = _fields = ("charset",)
+
+    def __init__(self, charset: CharSet) -> None:
+        self.charset = charset
 
 
-@dataclass(frozen=True)
 class Literal(Node):
     """A literal string (a run of fixed characters)."""
 
-    text: str
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
-@dataclass(frozen=True)
 class Seq(Node):
-    parts: tuple[Node, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Node, ...]) -> None:
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class Alt(Node):
-    options: tuple[Node, ...]
+    __slots__ = _fields = ("options",)
+
+    def __init__(self, options: tuple[Node, ...]) -> None:
+        self.options = options
 
 
-@dataclass(frozen=True)
 class Repeat(Node):
-    node: Node
-    low: int
-    high: int | None  # None = unbounded
+    __slots__ = _fields = ("node", "low", "high")
+
+    def __init__(self, node: Node, low: int, high: int | None) -> None:
+        self.node = node
+        self.low = low
+        self.high = high  # None = unbounded
 
 
-@dataclass(frozen=True)
 class Group(Node):
-    node: Node
-    index: int | None  # None for non-capturing
+    __slots__ = _fields = ("node", "index")
+
+    def __init__(self, node: Node, index: int | None) -> None:
+        self.node = node
+        self.index = index  # None for non-capturing
 
 
-@dataclass(frozen=True)
 class Anchor(Node):
-    kind: str  # "start" or "end"
+    __slots__ = _fields = ("kind",)
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind  # "start" or "end"
 
 
-@dataclass
 class Pattern:
-    """A parsed pattern plus its flags and capture-group count."""
+    """A parsed pattern plus its flags and capture-group count (equal
+    by value like a :class:`Node`, but not hashable)."""
 
-    root: Node
-    ignore_case: bool = False
-    group_count: int = 0
-    source: str = ""
+    __slots__ = _fields = ("root", "ignore_case", "group_count", "source")
+    _key = Node._key
+    __eq__ = Node.__eq__
+    __repr__ = Node.__repr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        root: Node,
+        ignore_case: bool = False,
+        group_count: int = 0,
+        source: str = "",
+    ) -> None:
+        self.root = root
+        self.ignore_case = ignore_case
+        self.group_count = group_count
+        self.source = source
 
 
 _CLASS_ESCAPES = {
@@ -396,8 +442,7 @@ def _case_fold(charset: CharSet) -> CharSet:
     return charset.union(CharSet(extra))
 
 
-@dataclass
-class _Compiled:
+class _Compiled(NamedTuple):
     """Compilation result for one node under search semantics.
 
     ``starts_anchored``/``ends_anchored`` record whether a ``^``/``$``

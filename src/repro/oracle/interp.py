@@ -423,7 +423,7 @@ class Interpreter:
         self.current_file = tree.path
         self._include_stack.append(tree.path)
         try:
-            self._collect_definitions(tree.body)
+            self._collect_definitions(tree)
             self._exec_block(tree.body, env)
         except _Return:
             pass  # top-level return ends this file, not the page
@@ -431,11 +431,11 @@ class Interpreter:
             self._include_stack.pop()
             self.current_file = previous
 
-    def _collect_definitions(self, block: ast.Block) -> None:
-        for stmt in ast.walk(block):
+    def _collect_definitions(self, tree: ast.File) -> None:
+        for stmt in tree.facts().definitions:
             if isinstance(stmt, ast.FunctionDef):
                 self.functions.setdefault(stmt.name.lower(), stmt)
-            elif isinstance(stmt, ast.ClassDef):
+            else:
                 self.classes.setdefault(stmt.name, stmt)
 
     def _tick(self) -> None:

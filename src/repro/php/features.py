@@ -182,11 +182,13 @@ def inventory_file(
 
     ``known_functions`` holds the (lower-cased) names of user-defined
     functions anywhere in the include closure, so calls to them are not
-    misreported as unmodeled builtins.
+    misreported as unmodeled builtins.  The candidate nodes come from
+    the tree's own :meth:`~repro.php.ast.File.facts`, so a file shared
+    by many pages is walked once; only their classification is per page.
     """
     file = tree.path
     feats: list[Feature] = []
-    for node in ast.walk(tree):
+    for node in tree.facts().constructs:
         if isinstance(node, ast.Call):
             feats.append(_classify_call(node, file, known_functions))
         elif isinstance(node, ast.VarVar):

@@ -77,10 +77,8 @@ def canonical_render(node) -> str:
     excluded) — equal renderings mean AST-identical programs."""
     if isinstance(node, ast.Node):
         fields = []
-        for name, value in sorted(vars(node).items()):
-            if name in ("line", "span"):
-                continue
-            fields.append(f"{name}={canonical_render(value)}")
+        for name in sorted(node._fields):
+            fields.append(f"{name}={canonical_render(getattr(node, name))}")
         return f"{type(node).__name__}({', '.join(fields)})"
     if isinstance(node, list):
         return "[" + ", ".join(canonical_render(item) for item in node) + "]"

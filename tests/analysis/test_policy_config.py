@@ -1,13 +1,12 @@
-"""Tests for the ``--policy-config`` YAML schema and its fallback parser.
+"""Tests for the ``--policy-config`` YAML schema and its parser.
 
 Every schema violation must surface as the typed
 :class:`~repro.analysis.policies.PolicyConfigError` (the CLI and CI
-smoke job key off that), the mini-YAML fallback must parse the whole
-in-tree schema without PyYAML, and the config digest must be stable —
-it salts the disk-cache page key.
+smoke job key off that), the in-tree mini-YAML parser must read the
+whole schema exactly as PyYAML would, and the config digest must be
+stable — it salts the disk-cache page key.
 """
 
-import builtins as py_builtins
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,17 @@ sinks:
 sources:
   _ENV: direct
 """
+
+COMMENTED = "# header\npolicies: [sql]  # trailing\n\nsources:\n  X: direct\n"
+
+TABBED = "policies:\n\t- sql\n"
+
+#: every config text these tests read
+CONFIG_TEXTS = {
+    "valid": VALID,
+    "commented": COMMENTED,
+    "example": (REPO_ROOT / "examples" / "policies.yaml").read_text(),
+}
 
 
 class TestValidConfigs:
@@ -113,6 +123,9 @@ class TestMalformedConfigs:
 
 
 class TestMiniYamlFallback:
+    """The in-tree parser is the only one: configs mean the same with or
+    without PyYAML installed."""
+
     def test_parses_the_schema_subset(self):
         assert _mini_yaml(VALID, "<test>") == {
             "policies": ["sql", "shell", "path"],
@@ -121,40 +134,37 @@ class TestMiniYamlFallback:
         }
 
     def test_comments_and_blank_lines(self):
-        text = "# header\npolicies: [sql]  # trailing\n\nsources:\n  X: direct\n"
-        assert _mini_yaml(text, "<test>") == {
+        assert _mini_yaml(COMMENTED, "<test>") == {
             "policies": ["sql"],
             "sources": {"X": "direct"},
         }
 
     def test_tabs_rejected(self):
         with pytest.raises(PolicyConfigError):
-            _mini_yaml("policies:\n\t- sql\n", "<test>")
+            _mini_yaml(TABBED, "<test>")
 
-    def test_used_when_pyyaml_is_absent(self, monkeypatch):
-        real_import = py_builtins.__import__
-
-        def no_yaml(name, *args, **kwargs):
-            if name == "yaml":
-                raise ImportError("forced for test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(py_builtins, "__import__", no_yaml)
+    def test_used_when_pyyaml_is_absent(self):
         data = parse_policy_yaml(VALID)
+        assert data == _mini_yaml(VALID, "<test>")
         config = config_from_dict(data)
         assert config.enabled == ("sql", "shell", "path")
 
-    def test_in_tree_example_parses_without_pyyaml(self, monkeypatch):
-        real_import = py_builtins.__import__
-
-        def no_yaml(name, *args, **kwargs):
-            if name == "yaml":
-                raise ImportError("forced for test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(py_builtins, "__import__", no_yaml)
+    def test_in_tree_example_parses_without_pyyaml(self):
         text = (REPO_ROOT / "examples" / "policies.yaml").read_text()
         config = config_from_dict(parse_policy_yaml(text))
         assert config.enabled == (
             "sql", "xss", "xss-context", "shell", "eval", "path",
         )
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+    def test_agrees_with_pyyaml(self, name):
+        yaml = pytest.importorskip("yaml")
+        text = CONFIG_TEXTS[name]
+        assert _mini_yaml(text, "<test>") == yaml.safe_load(text)
+
+    def test_both_reject_tab_indentation(self):
+        yaml = pytest.importorskip("yaml")
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(TABBED)
+        with pytest.raises(PolicyConfigError):
+            parse_policy_yaml(TABBED)

@@ -225,6 +225,28 @@ class TestProcessEntry:
         assert 0 < summary["cpu_attributed_fraction"] <= 1.5
         assert "startup" in summary["phases"]
 
+    def test_policy_config_load_is_attributed(self, app_root, tmp_path):
+        """Loading ``--policy-config`` imports every policy and the
+        analysis stack; it runs inside a ``startup`` span, so the
+        timeline still accounts for the process's CPU."""
+        timeline = tmp_path / "timeline.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.cli", str(app_root),
+             "--json", "--jobs", "1",
+             "--policy-config", str(REPO_ROOT / "examples" / "policies.yaml"),
+             "--profile=timeline", "--timeline-out", str(timeline)],
+            capture_output=True, text=True, env=_env(),
+        )
+        assert proc.returncode in (0, 1, 3), proc.stderr
+        stats = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.cli", "stats", str(timeline),
+             "--json"],
+            capture_output=True, text=True, env=_env(), check=True,
+        )
+        assert json.loads(stats.stdout)["cpu_attributed_fraction"] >= 0.9
+        driver = json.loads(timeline.read_text())["driver_spans"]
+        assert [span["phase"] for span in driver[:2]] == ["startup", "startup"]
+
     def test_in_process_timeline_has_no_process_fields(self, app_root, tmp_path):
         timeline = tmp_path / "timeline.json"
         main([str(app_root), "--jobs", "1", "--profile=timeline",

@@ -3,12 +3,14 @@
 The hot kernels — :mod:`repro.lang.charset`, the Earley recognizer in
 :mod:`repro.lang.earley`, the FST-image construction in
 :mod:`repro.lang.image`, the CFG ∩ DFA product in
-:mod:`repro.lang.intersect` — were rewritten for speed (hash-consed
-bitset charsets, integer-indexed charts, lazy triple materialization).
-This module keeps the original, obviously-correct formulations
-*verbatim in spirit*: interval-walk set algebra, the textbook item-set
-recognizer, and the eager full-product image and intersection.  They
-are deliberately slow and deliberately simple.
+:mod:`repro.lang.intersect`, the subset construction and minimization
+in :mod:`repro.lang.fsa` — were rewritten for speed (hash-consed
+bitset charsets, integer-indexed charts, lazy triple materialization,
+one alphabet refinement per automaton).  This module keeps the
+original, obviously-correct formulations *verbatim in spirit*:
+interval-walk set algebra, the textbook item-set recognizer, the eager
+full-product image and intersection, and per-subset alphabet
+refinement.  They are deliberately slow and deliberately simple.
 
 ``tests/lang/test_kernel_equivalence.py`` drives randomized inputs
 through both implementations and asserts extensional equality — the
@@ -119,6 +121,122 @@ def ref_partition(sets: Sequence[Intervals]) -> list[Intervals]:
         if any(ref_overlaps(piece, s) for s in sets):
             classes.append(piece)
     return classes
+
+
+# ---------------------------------------------------------------------------
+# the original subset construction and Moore minimization
+# ---------------------------------------------------------------------------
+
+
+def ref_determinize(nfa):
+    """Subset construction refining the alphabet per subset: the classes
+    of each subset's out-edge labels in ascending codepoint order, each
+    class's target the ε-closure of every state an overlapping edge
+    reaches, and parallel edges merged at the end."""
+    from collections import deque
+
+    from repro.lang.charset import partition_charsets
+    from repro.lang.fsa import DFA
+
+    dfa = DFA()
+    start = nfa.epsilon_closure([nfa.start])
+    state_ids = {start: dfa.new_state()}
+    dfa.start = state_ids[start]
+    if start & nfa.accepts:
+        dfa.accepts.add(dfa.start)
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        src_id = state_ids[subset]
+        out_edges = [
+            (label, dst)
+            for state in subset
+            for label, dst in nfa.transitions.get(state, ())
+        ]
+        if not out_edges:
+            continue
+        for cls in partition_charsets([label for label, _ in out_edges]):
+            targets = {dst for label, dst in out_edges if cls.overlaps(label)}
+            target = nfa.epsilon_closure(targets)
+            if target not in state_ids:
+                state_ids[target] = dfa.new_state()
+                if target & nfa.accepts:
+                    dfa.accepts.add(state_ids[target])
+                queue.append(target)
+            dfa.add_edge(src_id, cls, state_ids[target])
+    dfa._merge_parallel_edges()
+    return dfa
+
+
+def ref_minimize(dfa):
+    """Moore's partition refinement over the live states, each state's
+    signature its block and the blocks it reaches on every class of the
+    refined alphabet."""
+    from repro.lang.charset import partition_charsets
+    from repro.lang.fsa import DFA
+
+    live = dfa.live_states()
+    if dfa.start not in live:
+        empty = DFA()
+        empty.start = empty.new_state()
+        return empty
+    states = sorted(live)
+    labels = [
+        label
+        for s in states
+        for label, dst in dfa.transitions.get(s, ())
+        if dst in live
+    ]
+    classes = partition_charsets(labels) if labels else []
+    dest_table = {}
+    for s in states:
+        edges = [
+            (label, dst) for label, dst in dfa.transitions.get(s, ()) if dst in live
+        ]
+        dest_table[s] = [
+            next((dst for label, dst in edges if cls.overlaps(label)), None)
+            for cls in classes
+        ]
+    partition = {s: (s in dfa.accepts) for s in states}
+    while True:
+        blocks = {}
+        new_partition = {}
+        for s in states:
+            key = (
+                partition[s],
+                tuple(None if d is None else partition[d] for d in dest_table[s]),
+            )
+            new_partition[s] = blocks.setdefault(key, len(blocks))
+        if len(blocks) == len(set(partition.values())):
+            partition = new_partition
+            break
+        partition = new_partition
+    result = DFA()
+    result.num_states = len(set(partition.values()))
+    result.start = partition[dfa.start]
+    result.accepts = {partition[s] for s in dfa.accepts if s in live}
+    added = set()
+    for s in states:
+        for label, dst in dfa.transitions.get(s, ()):
+            if dst not in live:
+                continue
+            edge = (partition[s], label, partition[dst])
+            if edge not in added:
+                added.add(edge)
+                result.add_edge(*edge)
+    result._merge_parallel_edges()
+    return result
+
+
+def dfa_shape(dfa) -> tuple:
+    """Everything that identifies a DFA down to its numbering: the start,
+    the accepts and every state's edge list in order."""
+    return (
+        dfa.num_states,
+        dfa.start,
+        sorted(dfa.accepts),
+        [(src, list(edges)) for src, edges in dfa.transitions.items()],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lang.regex import (
+    Alt,
+    Anchor,
+    Literal,
+    Repeat,
     RegexError,
+    Seq,
     full_match_language,
     literal_prefix,
     parse_php_regex,
@@ -236,3 +241,41 @@ class TestLiteralPrefix:
 
     def test_none(self):
         assert literal_prefix(parse_regex("[0-9]x")) == ""
+
+
+class TestAstValues:
+    """Regex AST nodes are immutable values: equal and hashing by their
+    fields, distinct across node types; a :class:`Pattern` compares by
+    value but does not hash."""
+
+    def test_nodes_equal_and_hash_by_value(self):
+        first = parse_regex("(a|[0-9]+)x{2,3}").root
+        second = parse_regex("(a|[0-9]+)x{2,3}").root
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != parse_regex("(a|[0-9]+)x{2,4}").root
+
+    def test_node_types_never_compare_equal(self):
+        assert Literal("a") != Anchor("a")
+        assert Seq(()) != Alt(())
+
+    def test_pattern_compares_by_value_but_does_not_hash(self):
+        assert parse_regex("a+", ignore_case=True) == parse_regex("a+", ignore_case=True)
+        assert parse_regex("a+") != parse_regex("a+", ignore_case=True)
+        with pytest.raises(TypeError):
+            hash(parse_regex("a+"))
+
+    def test_nodes_are_plain_classes(self):
+        # no dataclass code generation when the module is imported
+        from repro.lang import regex
+
+        assert not [
+            name for name, value in vars(regex).items()
+            if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
+        ]
+
+    def test_repr_names_the_fields(self):
+        assert repr(Repeat(Literal("a"), 1, None)) == (
+            "Repeat(node=Literal(text='a'), low=1, high=None)"
+        )

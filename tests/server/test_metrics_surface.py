@@ -151,6 +151,8 @@ class TestHttpEndpoint:
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/other", timeout=10)
+            # the error carries the open response; close its socket
+            excinfo.value.close()
             assert excinfo.value.code == 404
         finally:
             server.shutdown()

@@ -302,6 +302,44 @@ class TestColdRunEquivalence:
         assert proc.returncode == cold.returncode
 
 
+LIB_INC = (
+    "<?php function fetch_user($id) {\n"
+    "  return mysql_query(\"SELECT * FROM users WHERE id = '\" . $id . \"'\");\n"
+    "} ?>"
+)
+USER_PHP = "<?php include 'includes/lib.inc';\nfetch_user($_GET['id']); ?>"
+ADMIN_PHP = "<?php include 'includes/lib.inc';\nfetch_user(intval($_GET['id'])); ?>"
+
+
+class TestIncludedFunctionRename:
+    """Per-file facts (a file's function definitions) live on its parsed
+    tree: an edit re-parses the file and drops them with the old tree."""
+
+    def test_rename_in_included_file_matches_cold_cli(self, tmp_path, start_daemon):
+        app = tmp_path / "rename-app"
+        (app / "includes").mkdir(parents=True)
+        lib = app / "includes" / "lib.inc"
+        lib.write_text(LIB_INC)
+        (app / "user.php").write_text(USER_PHP)
+        (app / "admin.php").write_text(ADMIN_PHP)
+        client = start_daemon(app).client()
+        before = client.analyze()["document"]
+        assert json.dumps(before, indent=2) + "\n" == run_cli(str(app), "--json").stdout
+
+        lib.write_text(LIB_INC.replace("fetch_user", "load_user"))
+        outcome = client.invalidate(["includes/lib.inc"])
+        assert outcome["invalidated_pages"] == ["admin.php", "user.php"]
+        after = client.analyze()
+        assert after["pages_reanalyzed"] == 2
+        cold = run_cli(str(app), "--json")
+        assert json.dumps(after["document"], indent=2) + "\n" == cold.stdout
+        # the calls now name no known function: the sink is gone and
+        # the audit reports the unknown callee
+        assert before["verified"] is False
+        assert after["document"]["verified"] is True
+        assert "fetch_user" in cold.stdout
+
+
 LAN_INDEX_PHP = (
     "<?php $lang = $_COOKIE['lang'];\n"
     "include('lang/lan_' . $lang . '.inc');\n"

@@ -36,12 +36,13 @@ from repro.obs.metrics import PERF
 
 from .audit import AuditReport, AuditTrail, audit_page
 from .diskcache import DiskCache, project_state_hash
+from .policies.config import DEFAULT_CONFIG, PolicyConfig
 from .reports import HotspotReport, ProjectReport
 
 if TYPE_CHECKING:
     from repro.php.includes import IncludeResolver
 
-    from .stringtaint import StringTaintAnalysis
+    from .stringtaint import AnalysisResult, StringTaintAnalysis
 
 #: The page-analysis stack: phase 1 (and through it the PHP front end
 #: and the language kernels), phase 2 and the audit inventory.  Nothing
@@ -50,7 +51,7 @@ if TYPE_CHECKING:
 ANALYSIS_STACK = (
     "repro.analysis.stringtaint",
     "repro.analysis.policy",
-    "repro.analysis.policies",
+    "repro.analysis.policies.registry",
     "repro.php.features",
 )
 
@@ -68,33 +69,98 @@ def load_analysis_stack() -> None:
             importlib.import_module(name)
 
 
-def check_hotspot(grammar, spot) -> HotspotReport:
-    """Phase 2 of one SQL hotspot: :func:`repro.analysis.policy.check_hotspot`."""
-    from .policy import check_hotspot as check
+def check_hotspot(
+    grammar, spot, policies: PolicyConfig = DEFAULT_CONFIG, cache=None
+) -> HotspotReport:
+    """Phase 2 of one hotspot: the check of the policy in ``policies``
+    that owns its kind.  The only place a hotspot meets its policy."""
+    return policies.policy_for(spot.kind).check(grammar, spot, cache=cache)
 
-    return check(grammar, spot)
 
+def analyze_entry(
+    project_root: str | Path,
+    entry: str | Path,
+    audit: bool = False,
+    policies: PolicyConfig = DEFAULT_CONFIG,
+    parse_cache: dict | None = None,
+    resolver: IncludeResolver | None = None,
+    disk_cache: DiskCache | None = None,
+) -> tuple[StringTaintAnalysis, AnalysisResult, PageResult]:
+    """The two-phase analysis of one entry page, and with ``audit=True``
+    its soundness audit: every hotspot report is then stamped with the
+    page's confidence level.  Returns the interpreter, its result and
+    the page's :class:`PageResult`."""
+    from . import stringtaint
 
-def _check_spot(grammar, spot, policies) -> HotspotReport:
-    """Phase-2 dispatch: SQL hotspots go through :func:`check_hotspot`,
-    whose default policy is SQL; policy-recorded hotspots go through
-    their owning :class:`~repro.analysis.policies.SinkPolicy`."""
-    kind = getattr(spot, "kind", "sql")
-    if policies is None or kind == "sql":
-        return check_hotspot(grammar, spot)
-    return policies.policy_for(kind).check(grammar, spot)
+    started = time.perf_counter()
+    analysis = stringtaint.StringTaintAnalysis(
+        project_root,
+        parse_cache=parse_cache,
+        resolver=resolver,
+        audit=AuditTrail() if audit else None,
+        disk_cache=disk_cache,
+        policies=policies,
+    )
+    with PERF.timer("phase1.string_analysis"), TIMELINE.phase("absdom"):
+        result = analysis.analyze_file(entry)
+        TIMELINE.annotate("hotspots", len(result.hotspots))
+        TIMELINE.annotate(
+            "grammar_nonterminals", len(result.grammar.productions)
+        )
+        TIMELINE.annotate(
+            "grammar_productions", result.grammar.num_productions()
+        )
+    PERF.incr("pages.analyzed")
+    string_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    reports: list[HotspotReport] = []
+    nonterminals = 0
+    productions = 0
+    with PERF.timer("phase2.checks"), TIMELINE.phase(
+        "phase2", hotspots=len(result.hotspots)
+    ):
+        grammar = result.grammar
+        for spot in result.hotspots:
+            # the hotspot subgrammar's size, counted in place
+            scope = grammar.reachable(spot.query.nt)
+            nonterminals += len(scope)
+            scope_productions = sum(
+                len(grammar.productions.get(nt, ())) for nt in scope
+            )
+            productions += scope_productions
+            PERF.gauge("grammar.hotspot_productions.max", scope_productions)
+            reports.append(check_hotspot(grammar, spot, policies))
+    check_seconds = time.perf_counter() - started
+
+    page_audit = None
+    if audit:
+        with TIMELINE.phase("audit"):
+            page_audit = audit_page(result)
+        # a hotspot's verdict is only as trustworthy as the weakest
+        # construct on its page's include closure
+        for report in reports:
+            report.confidence = page_audit.confidence
+    return analysis, result, PageResult(
+        page=str(entry),
+        reports=reports,
+        parse_errors=list(result.parse_errors),
+        audit=page_audit,
+        nonterminals=nonterminals,
+        productions=productions,
+        string_seconds=string_seconds,
+        check_seconds=check_seconds,
+        deps=_relative_deps(result.dep_files, Path(project_root)),
+        layout_sensitive=result.layout_sensitive,
+    )
 
 
 def analyze_page(
-    project_root: str | Path, entry: str | Path, audit: AuditTrail | None = None
+    project_root: str | Path, entry: str | Path
 ) -> tuple[list[HotspotReport], StringTaintAnalysis]:
     """Analyze one top-level page; returns its hotspot reports."""
-    from . import stringtaint
-
-    analysis = stringtaint.StringTaintAnalysis(project_root, audit=audit)
-    result = analysis.analyze_file(entry)
-    reports = [check_hotspot(result.grammar, spot) for spot in result.hotspots]
-    return reports, analysis
+    analysis, _, page = analyze_entry(project_root, entry)
+    return page.reports, analysis
 
 
 def audit_entry(project_root: str | Path, entry: str | Path):
@@ -103,16 +169,8 @@ def audit_entry(project_root: str | Path, entry: str | Path):
     Returns ``(hotspot_reports, analysis_result, audit_report)``; every
     hotspot report is stamped with the page's confidence level.
     """
-    from . import stringtaint
-
-    trail = AuditTrail()
-    analysis = stringtaint.StringTaintAnalysis(project_root, audit=trail)
-    result = analysis.analyze_file(entry)
-    reports = [check_hotspot(result.grammar, spot) for spot in result.hotspots]
-    page_audit = audit_page(result)
-    for report in reports:
-        report.confidence = page_audit.confidence
-    return reports, result, page_audit
+    _, result, page = analyze_entry(project_root, entry, audit=True)
+    return page.reports, result, page.audit
 
 
 _PHP_OPEN = re.compile(r"<\?(?:php\b|=)?")
@@ -253,82 +311,6 @@ def _relative_deps(dep_files, project_root: Path) -> list[str]:
     return sorted(rels)
 
 
-def _analyze_one_page(
-    project_root: Path,
-    page: str | Path,
-    audit: bool,
-    parse_cache: dict,
-    resolver: IncludeResolver,
-    disk_cache: DiskCache | None,
-    policies=None,
-) -> PageResult:
-    """The two-phase analysis of a single entry page."""
-    from . import stringtaint
-
-    started = time.perf_counter()
-    trail = AuditTrail() if audit else None
-    analysis = stringtaint.StringTaintAnalysis(
-        project_root,
-        parse_cache=parse_cache,
-        resolver=resolver,
-        audit=trail,
-        disk_cache=disk_cache,
-        policies=policies,
-    )
-    with PERF.timer("phase1.string_analysis"), TIMELINE.phase("absdom"):
-        result = analysis.analyze_file(page)
-        TIMELINE.annotate("hotspots", len(result.hotspots))
-        TIMELINE.annotate(
-            "grammar_nonterminals", len(result.grammar.productions)
-        )
-        TIMELINE.annotate(
-            "grammar_productions", result.grammar.num_productions()
-        )
-    PERF.incr("pages.analyzed")
-    string_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    reports: list[HotspotReport] = []
-    nonterminals = 0
-    productions = 0
-    with PERF.timer("phase2.checks"), TIMELINE.phase(
-        "phase2", hotspots=len(result.hotspots)
-    ):
-        grammar = result.grammar
-        for spot in result.hotspots:
-            # the hotspot subgrammar's size, counted in place
-            scope = grammar.reachable(spot.query.nt)
-            nonterminals += len(scope)
-            scope_productions = sum(
-                len(grammar.productions.get(nt, ())) for nt in scope
-            )
-            productions += scope_productions
-            PERF.gauge("grammar.hotspot_productions.max", scope_productions)
-            reports.append(_check_spot(grammar, spot, policies))
-    check_seconds = time.perf_counter() - started
-
-    page_audit = None
-    if audit:
-        with TIMELINE.phase("audit"):
-            page_audit = audit_page(result)
-        # a hotspot's verdict is only as trustworthy as the weakest
-        # construct on its page's include closure
-        for report in reports:
-            report.confidence = page_audit.confidence
-    return PageResult(
-        page=str(page),
-        reports=reports,
-        parse_errors=list(result.parse_errors),
-        audit=page_audit,
-        nonterminals=nonterminals,
-        productions=productions,
-        string_seconds=string_seconds,
-        check_seconds=check_seconds,
-        deps=_relative_deps(result.dep_files, Path(project_root)),
-        layout_sensitive=result.layout_sensitive,
-    )
-
-
 def _page_result(
     project_root: Path,
     page: str | Path,
@@ -337,7 +319,7 @@ def _page_result(
     resolver: IncludeResolver | None,
     disk_cache: DiskCache | None,
     project_state: str | None,
-    policies=None,
+    policies: PolicyConfig,
 ) -> PageResult:
     """One page, consulting the on-disk page cache when available.
 
@@ -362,7 +344,7 @@ def _page_result_inner(
     disk_cache: DiskCache | None,
     project_state: str | None,
     capture,
-    policies=None,
+    policies: PolicyConfig,
 ) -> PageResult:
     key = None
     if disk_cache is not None and project_state is not None:
@@ -375,7 +357,7 @@ def _page_result_inner(
             str(project_root),
             rel,
             audit,
-            policy_digest=policies.digest() if policies is not None else "",
+            policies.digest(),
         )
         with TIMELINE.phase("cache.page_load"):
             cached = disk_cache.load("page", key)
@@ -393,11 +375,10 @@ def _page_result_inner(
         from repro.php.includes import IncludeResolver
 
         resolver = IncludeResolver(project_root)
-    result = _analyze_one_page(
-        project_root, page, audit, parse_cache, resolver, disk_cache,
-        policies=policies,
+    _, _, result = analyze_entry(
+        project_root, page, audit, policies, parse_cache, resolver, disk_cache
     )
-    if disk_cache is not None and key is not None:
+    if key is not None:
         disk_cache.store("page", key, result)
     return result
 
@@ -405,11 +386,11 @@ def _page_result_inner(
 # -- parallel workers ---------------------------------------------------------
 
 
-#: Policy digests whose automata this process has already built.
-_WARMED: set[str] = set()
+#: Policy configs whose automata this process has already built.
+_WARMED: set[PolicyConfig] = set()
 
 
-def _warm_worker_caches(policies) -> None:
+def _warm_worker_caches(policies: PolicyConfig) -> None:
     """Pre-build the policy automata a worker will need (warm start).
 
     Without this, the first page each worker analyzes pays the cold
@@ -418,25 +399,13 @@ def _warm_worker_caches(policies) -> None:
     ``lru_cache`` tables; a worker started any other way (the daemon's
     farm, ``spawn``) builds its own on its first task.  Runs once per
     process and policy config."""
-    digest = policies.digest() if policies is not None else ""
-    if digest in _WARMED:
+    if policies in _WARMED:
         return
-    _WARMED.add(digest)
+    _WARMED.add(policies)
     PERF.incr("startup.warm_ups")
-    from . import quotes
-    from .policies import policy_instance
-
     with PERF.timer("worker.warm_start"), TIMELINE.phase("startup"):
-        # the SQL confinement cascade (the default when no policy config
-        # is given) draws on the quotes automata
-        quotes.odd_unescaped_quotes()
-        quotes.has_unescaped_quote()
-        quotes.markers_outside_string_literals()
-        quotes.non_numeric_literals()
-        quotes.non_confinable_substrings()
-        if policies is not None:
-            for pid in policies.enabled:
-                policy_instance(pid).warm()
+        for policy in policies.policies():
+            policy.warm()
 
 
 def resolve_jobs(jobs: int | None, pages: int | None = None) -> int:
@@ -456,7 +425,7 @@ def run_pages(
     cache_dir: str | Path | None = None,
     cache_max_mb: float | None = None,
     parse_cache: dict | None = None,
-    policies=None,
+    policies: PolicyConfig = DEFAULT_CONFIG,
     profile: bool = False,
     farm=None,
     epoch: int = 0,
@@ -484,12 +453,12 @@ def run_pages(
     layout is unchanged; also serial-only, and the caller drops it on
     any file addition or deletion.
 
-    ``policies`` is an optional
-    :class:`~repro.analysis.policies.PolicyConfig`; ``None`` runs the
-    default SQL-confinement analysis exactly as before.  The config
-    travels to parallel workers (it is a frozen picklable dataclass) and
-    its digest salts the disk-cache page key, so results computed under
-    one config are never replayed under another.
+    ``policies`` is the run's
+    :class:`~repro.analysis.policies.PolicyConfig` (SQL confinement
+    only by default).  The config travels to parallel workers (it is a
+    frozen picklable dataclass) and its digest salts the disk-cache page
+    key, so results computed under one config are never replayed under
+    another.
 
     ``profile=True`` turns on the worker-side IPC accounting (pickled
     page-result bytes and serialization time); timeline recording
@@ -504,6 +473,9 @@ def run_pages(
     the duration of the call.
     """
     root = Path(project_root)
+    # ``perfbench/inproc.py`` still passes an explicit ``None`` for the
+    # default config
+    policies = policies or DEFAULT_CONFIG
     disk_cache = DiskCache(cache_dir, max_mb=cache_max_mb) if cache_dir else None
     project_state = None
     if disk_cache is not None:

@@ -47,6 +47,7 @@ from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF, render_table
 
 from .analyzer import entry_pages, run_pages
+from .policies.config import DEFAULT_CONFIG
 from .reports import SOUND, UNSOUND_CAVEATS, json_document
 
 log = logging.getLogger(__name__)
@@ -261,7 +262,7 @@ def main(argv: list[str] | None = None, startup: Startup | None = None) -> int:
     if startup is not None:
         TIMELINE.add("startup", startup.start, startup.end)
 
-    policies = None
+    policies = DEFAULT_CONFIG
     if args.policy_config:
         # validating a config imports every policy, and through them the
         # analysis stack: start-up work, on the timeline as such

@@ -219,7 +219,7 @@ class DiskCache:
         root: str,
         rel_page: str,
         audit: bool,
-        policy_digest: str = "",
+        policy_digest: str,
     ) -> str:
         # ``root`` (absolute) is in the key for the same reason as above:
         # stored reports carry absolute file names
@@ -231,9 +231,7 @@ class DiskCache:
         digest.update(b"\0")
         digest.update(rel_page.encode("utf-8", errors="replace"))
         digest.update(b"\0audit=1" if audit else b"\0audit=0")
-        if policy_digest:
-            # non-default policy configs key their own entries; the
-            # default ("" digest) keeps the historical key unchanged
-            digest.update(b"\0policy=")
-            digest.update(policy_digest.encode())
+        # every policy config keys its own entries
+        digest.update(b"\0policy=")
+        digest.update(policy_digest.encode())
         return digest.hexdigest()

@@ -7,40 +7,45 @@ hotspot's labeled grammar; the surrounding machinery — hotspot
 recording, verdict memoization, provenance, SARIF, disk cache, server,
 differential fuzzing — is shared.  See README "Policies" for the
 ``--policy-config`` schema.
+
+The names below resolve on first access (PEP 562): every run carries a
+:class:`PolicyConfig`, so :mod:`.config` must load without the policies
+themselves, which import the analysis stack (DESIGN §5q).
 """
 
-from .base import SinkPolicy
-from .config import (
-    DEFAULT_CONFIG,
-    PolicyConfig,
-    PolicyConfigError,
-    config_from_dict,
-    load_policy_config,
-    parse_policy_yaml,
-)
-from .evalinj import EvalPolicy
-from .path import PathPolicy
-from .registry import REGISTRY, policy_instance
-from .shell import ShellPolicy
-from .sql import SqlPolicy
-from .xss import MarkupXssPolicy, markup_capable
-from .xss_context import ContextXssPolicy
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "REGISTRY",
-    "ContextXssPolicy",
-    "EvalPolicy",
-    "MarkupXssPolicy",
-    "PathPolicy",
-    "PolicyConfig",
-    "PolicyConfigError",
-    "ShellPolicy",
-    "SinkPolicy",
-    "SqlPolicy",
-    "config_from_dict",
-    "load_policy_config",
-    "markup_capable",
-    "parse_policy_yaml",
-    "policy_instance",
-]
+#: public name → the submodule that defines it
+_EXPORTS = {
+    "DEFAULT_CONFIG": "config",
+    "PolicyConfig": "config",
+    "PolicyConfigError": "config",
+    "config_from_dict": "config",
+    "load_policy_config": "config",
+    "parse_policy_yaml": "config",
+    "REGISTRY": "registry",
+    "policy_instance": "registry",
+    "SinkPolicy": "base",
+    "ContextXssPolicy": "xss_context",
+    "EvalPolicy": "evalinj",
+    "MarkupXssPolicy": "xss",
+    "markup_capable": "xss",
+    "PathPolicy": "path",
+    "ShellPolicy": "shell",
+    "SqlPolicy": "sql",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

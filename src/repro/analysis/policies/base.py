@@ -52,7 +52,7 @@ class SinkPolicy:
     def check(self, grammar, hotspot, cache=None):
         """The :class:`~repro.analysis.reports.HotspotReport` for one
         hotspot of this policy's kind (memoized per policy namespace)."""
-        return check_hotspot(grammar, hotspot, cache=cache, policy=self)
+        return check_hotspot(grammar, hotspot, self, cache)
 
     @property
     def namespace(self) -> str:

@@ -43,12 +43,18 @@ class PolicyConfigError(ValueError):
 class PolicyConfig:
     """Which sink policies run, plus declarative sink/source extensions."""
 
-    #: enabled policy ids, normalized to registry order
+    #: enabled policy ids, normalized to registry order; always holds
+    #: ``sql``, whose hotspots the interpreter records under any config
     enabled: tuple[str, ...] = ("sql",)
     #: extra function sinks: ``(policy id, function name, argument index)``
     extra_sinks: tuple[tuple[str, str, int], ...] = ()
     #: extra taint sources: ``(variable name, label)``
     extra_sources: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        # ``sql`` leads the registry, so prepending keeps registry order
+        if "sql" not in self.enabled:
+            object.__setattr__(self, "enabled", ("sql", *self.enabled))
 
     def digest(self) -> str:
         """Deterministic content digest (disk-cache key component)."""
@@ -116,15 +122,9 @@ class PolicyConfig:
         """Policies claiming ``preg_replace``'s ``/e`` replacement arg."""
         return tuple(p.id for p in self.policies() if p.claims_preg_eval)
 
-    def source_label(self, name: str) -> str | None:
-        for source, label in self.extra_sources:
-            if source == name:
-                return label
-        return None
 
-
-#: the validated in-tree default: SQL confinement only — exactly the
-#: historical behaviour when no ``--policy-config`` is given
+#: the config of every run without ``--policy-config``: SQL confinement
+#: only
 DEFAULT_CONFIG = PolicyConfig()
 
 

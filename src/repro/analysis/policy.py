@@ -103,24 +103,19 @@ VERDICT_CACHE = VerdictCache()
 def check_hotspot(
     grammar: Grammar,
     hotspot: Hotspot,
+    policy,
     cache: VerdictCache | None = None,
-    policy=None,
 ) -> HotspotReport:
     """Run a sink policy's check cascade for one hotspot (memoized).
 
     ``policy`` is the :class:`~repro.analysis.policies.SinkPolicy` whose
-    checks run, SQL confinement by default; its ``namespace`` keeps its
-    memo entries apart from other policies' verdicts on the same
-    subgrammar fingerprint.
+    checks run; its ``namespace`` keeps its memo entries apart from
+    other policies' verdicts on the same subgrammar fingerprint.
 
     ``cache`` defaults to the process-wide :data:`VERDICT_CACHE`; pass an
     explicit :class:`VerdictCache` to isolate, or construct one with
     ``maxsize=0``-style behaviour by passing a fresh instance per call.
     """
-    if policy is None:
-        from .policies.registry import policy_instance
-
-        policy = policy_instance("sql")
     if cache is None:
         cache = VERDICT_CACHE
     report = HotspotReport(file=hotspot.file, line=hotspot.line, sink=hotspot.sink)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .policies.config import DEFAULT_CONFIG, PolicyConfig
 from .reports import Finding
 from .sarifschema import SARIF_2_1_0_SCHEMA
 
@@ -108,23 +109,12 @@ RULES: list[dict] = [
     },
 ]
 
-_RULE_INDEX = {rule["id"]: i for i, rule in enumerate(RULES)}
 
-#: message prefix when a finding carries no policy id (classic SQL path)
-_SQL_TITLE = "SQL command injection"
-
-
-def _rule_catalog(policies=None):
-    """``(rules, rule_index, titles)`` for a run.
-
-    ``policies=None`` — the historical single-policy CLI — returns the
-    module-level SQL catalog unchanged, keeping default SARIF output
-    byte-identical.  With a :class:`~.policies.config.PolicyConfig`, the
-    catalog is the concatenation of every enabled policy's rules in
-    registry order, and ``titles`` maps policy id → message prefix.
-    """
-    if policies is None:
-        return RULES, _RULE_INDEX, {}
+def _rule_catalog(policies: PolicyConfig):
+    """``(rules, rule_index, titles)`` for a run: the concatenation of
+    every enabled policy's rules in registry order (SQL's :data:`RULES`
+    first, since every config holds ``sql``), and ``titles`` maps policy
+    id → message prefix."""
     rules: list[dict] = []
     index: dict[str, int] = {}
     titles: dict[str, str] = {}
@@ -244,12 +234,13 @@ def _result(
     finding: Finding,
     page: str,
     root: Path,
-    rule_index: dict[str, int] = _RULE_INDEX,
-    titles: dict[str, str] | None = None,
+    rule_index: dict[str, int],
+    titles: dict[str, str],
     fixes: dict | None = None,
 ) -> dict:
     level = "error" if finding.category == "direct" else "warning"
-    title = (titles or {}).get(finding.policy, _SQL_TITLE)
+    # SQL findings carry no policy id
+    title = titles[finding.policy or "sql"]
     text = (
         f"{title}: {finding.category} untrusted data reaches "
         f"{finding.sink} and fails the {finding.check} check"
@@ -293,12 +284,15 @@ def _result(
 
 
 def results_to_sarif(
-    project_root: str | Path, page_results: list, policies=None, fixes=None
+    project_root: str | Path,
+    page_results: list,
+    policies: PolicyConfig = DEFAULT_CONFIG,
+    fixes=None,
 ) -> dict:
     """The SARIF log for one run over ``page_results``
     (:class:`~repro.analysis.analyzer.PageResult` list, in page order).
     ``policies`` (a :class:`~.policies.config.PolicyConfig`) selects the
-    rule catalog; None keeps the classic SQL-only catalog.  ``fixes``
+    rule catalog.  ``fixes``
     (``sqlciv fix``'s :meth:`~repro.remediate.engine.RemediationReport.\
 sarif_fixes` mapping) attaches verified patches as SARIF ``fixes[]``;
     None — every path except ``sqlciv fix --sarif`` — leaves the
@@ -342,7 +336,10 @@ sarif_fixes` mapping) attaches verified patches as SARIF ``fixes[]``;
 
 
 def render_sarif(
-    project_root: str | Path, page_results: list, policies=None, fixes=None
+    project_root: str | Path,
+    page_results: list,
+    policies: PolicyConfig = DEFAULT_CONFIG,
+    fixes=None,
 ) -> str:
     return json.dumps(
         results_to_sarif(project_root, page_results, policies, fixes),
@@ -354,7 +351,7 @@ def write_sarif(
     path: str | Path,
     project_root: str | Path,
     page_results: list,
-    policies=None,
+    policies: PolicyConfig = DEFAULT_CONFIG,
     fixes=None,
 ) -> None:
     Path(path).write_text(

@@ -32,6 +32,7 @@ from repro.php.parser import PhpParseError, parse
 from . import sources
 from .absdom import GrammarBuilder
 from .diskcache import DiskCache
+from .policies.config import DEFAULT_CONFIG, PolicyConfig
 from .values import ArrVal, ObjVal, StrVal, Value
 
 MAX_CALL_DEPTH = 8
@@ -138,24 +139,20 @@ class StringTaintAnalysis:
         resolver: IncludeResolver | None = None,
         audit=None,
         disk_cache=None,
-        policies=None,
+        policies: PolicyConfig = DEFAULT_CONFIG,
     ) -> None:
         self.project_root = Path(project_root)
         self.builder = builder or GrammarBuilder()
         self.resolver = resolver or IncludeResolver(self.project_root)
-        #: optional :class:`repro.analysis.policies.PolicyConfig` — when
-        #: set, extra sink signatures (shell/eval/path/XSS…) record
-        #: hotspots alongside the classic SQL query sinks.  ``None``
-        #: keeps the historical SQL-only behaviour bit-for-bit.
+        #: the run's :class:`repro.analysis.policies.PolicyConfig`: the
+        #: sink signatures of its enabled policies besides SQL (shell,
+        #: eval, path, XSS…) record hotspots alongside the classic SQL
+        #: query sinks, and its extra sources taint their variables
         self.policies = policies
-        if policies is None:
-            self._extra_function_sinks = {}
-            self._construct_sinks = {}
-            self._preg_eval_kinds = ()
-        else:
-            self._extra_function_sinks = policies.function_sink_table()
-            self._construct_sinks = policies.construct_sink_table()
-            self._preg_eval_kinds = policies.preg_eval_kinds()
+        self._extra_function_sinks = policies.function_sink_table()
+        self._construct_sinks = policies.construct_sink_table()
+        self._preg_eval_kinds = policies.preg_eval_kinds()
+        self._extra_sources = dict(policies.extra_sources)
         # soundness-audit instrumentation (an AuditTrail, or None); the
         # builder shares it so grammar-level widenings get attributed
         self.audit = audit
@@ -249,8 +246,8 @@ class StringTaintAnalysis:
         except OSError as exc:
             PERF.incr("parse.files")
             return None, str(exc)
-        ast_key = DiskCache.ast_key(data, str(path))
         if self.disk_cache is not None:
+            ast_key = DiskCache.ast_key(data, str(path))
             entry = self.disk_cache.load("ast", ast_key)
             # a readable pickle of anything but a (tree, error) pair is
             # as damaged as a truncated one: re-parse and overwrite it
@@ -770,9 +767,9 @@ class StringTaintAnalysis:
 
     def _eval_Var(self, expr: ast.Var, env: Env) -> Value:
         label = sources.superglobal_label(expr.name)
-        if label is None and self.policies is not None:
+        if label is None:
             # YAML-declared extra taint sources (--policy-config sources:)
-            label = self.policies.source_label(expr.name)
+            label = self._extra_sources.get(expr.name)
         if label is not None:
             origin = {}
             if expr.span is not None:

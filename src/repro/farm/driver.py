@@ -35,6 +35,7 @@ import queue as queue_mod
 import threading
 from pathlib import Path
 
+from repro.analysis.policies.config import DEFAULT_CONFIG, PolicyConfig
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE
 
@@ -90,7 +91,7 @@ class AnalysisFarm:
         cache_dir: str | None = None,
         cache_max_mb: float | None = None,
         project_state: str | None = None,
-        policies=None,
+        policies: PolicyConfig = DEFAULT_CONFIG,
         profile: bool = False,
         epoch: int = 0,
     ) -> list:

@@ -23,7 +23,7 @@ them without limit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 #: Highest codepoint we model.  sys.maxunicode is the honest bound; the
 #: analyses never depend on the exact value, only on "everything else".
@@ -311,41 +311,12 @@ _OF_MEMO: dict[str, CharSet] = {}
 _UNION_MEMO: dict[tuple[CharSet, CharSet], CharSet] = {}
 _INTERSECT_MEMO: dict[tuple[CharSet, CharSet], CharSet] = {}
 _COMPLEMENT_MEMO: dict[CharSet, CharSet] = {}
-_PARTITION_MEMO: dict[tuple[CharSet, ...], list[CharSet]] = {}
 
 
 def _show(cp: int) -> str:
     if 0x21 <= cp <= 0x7E:
         return chr(cp)
     return f"\\u{cp:04x}"
-
-
-def partition_charsets(sets: Sequence[CharSet]) -> list[CharSet]:
-    """Refine ``sets`` into disjoint, nonempty classes covering their union.
-
-    Every input set is a union of some of the returned classes.  This is
-    the standard alphabet-refinement step used before automaton
-    determinization and product constructions.
-    """
-    key = tuple(sets)
-    cached = _PARTITION_MEMO.get(key)
-    if cached is not None:
-        return list(cached)
-    boundaries: set[int] = set()
-    for s in sets:
-        for lo, hi in s.intervals:
-            boundaries.add(lo)
-            boundaries.add(hi + 1)
-    cuts = sorted(boundaries)
-    classes = []
-    for lo, next_lo in zip(cuts, cuts[1:]):
-        piece = CharSet([(lo, next_lo - 1)])
-        if any(piece.overlaps(s) for s in sets):
-            classes.append(piece)
-    if len(_PARTITION_MEMO) >= _MEMO_CAP:
-        _PARTITION_MEMO.clear()
-    _PARTITION_MEMO[key] = classes
-    return list(classes)
 
 
 _EMPTY = CharSet()

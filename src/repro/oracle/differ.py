@@ -43,7 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.policy import VerdictCache, check_hotspot
+from repro.analysis.analyzer import check_hotspot
+from repro.analysis.policies.config import DEFAULT_CONFIG, PolicyConfig
+from repro.analysis.policy import VerdictCache
 from repro.analysis.stringtaint import StringTaintAnalysis
 from repro.lang.earley import char_membership, char_token_grammar
 from repro.sql.confinement import check_confinement
@@ -102,12 +104,12 @@ class PageOracle:
         self.entry = entry
         self.policy = policy
         self.extra_sinks = _policy_extra_sinks(policy)
-        policies = None
-        if policy is not None:
-            from repro.analysis.policies import PolicyConfig
-
-            policies = PolicyConfig(enabled=("sql", policy))
-        analysis = StringTaintAnalysis(self.project_root, policies=policies)
+        self.policies = (
+            DEFAULT_CONFIG if policy is None else PolicyConfig((policy,))
+        )
+        analysis = StringTaintAnalysis(
+            self.project_root, policies=self.policies
+        )
         self.result = analysis.analyze_file(entry)
         self.grammar = self.result.grammar
         # hotspots grouped by concrete-visible site identity
@@ -130,12 +132,9 @@ class PageOracle:
         return prepared
 
     def _spot_verified(self, spot) -> bool:
-        if spot.kind == "sql":
-            return check_hotspot(self.grammar, spot, cache=self._cache).verified
-        from repro.analysis.policies import policy_instance
-
-        policy = policy_instance(spot.kind)
-        return policy.check(self.grammar, spot, cache=self._cache).verified
+        return check_hotspot(
+            self.grammar, spot, self.policies, self._cache
+        ).verified
 
     def _site_safe(self, key: tuple[str, int, str]) -> bool:
         """True iff every analysis report at this site is *safe*."""

@@ -261,13 +261,10 @@ def attempt_fix(
     copy = Path(tempfile.mkdtemp(prefix="sqlciv-fixcheck-")) / "app"
     shutil.copytree(app, copy)
     try:
+        from repro.analysis.policies import DEFAULT_CONFIG, PolicyConfig
         from repro.remediate import remediate_project
 
-        policies = None
-        if policy:
-            from repro.analysis.policies import PolicyConfig
-
-            policies = PolicyConfig(enabled=("sql", policy))
+        policies = PolicyConfig((policy,)) if policy else DEFAULT_CONFIG
         try:
             report = remediate_project(
                 copy, pages=[entry], policies=policies, apply=True,

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
+from repro.analysis.policies.config import DEFAULT_CONFIG, PolicyConfig
 from repro.obs.metrics import PERF
 from repro.obs.timeline import TIMELINE
 
@@ -254,7 +255,7 @@ def _rel(path: str, root: Path) -> str:
 def remediate_project(
     project_root: str | Path,
     pages: list[str] | None = None,
-    policies=None,
+    policies: PolicyConfig = DEFAULT_CONFIG,
     apply: bool = False,
     guard_dir: str | Path | None = None,
     diff_dir: str | Path | None = None,
@@ -270,8 +271,7 @@ def remediate_project(
     ``diff_dir`` export guard profiles and unified diffs; ``oracle``
     gates the concrete witness cross-check.
     """
-    from repro.analysis.analyzer import _check_spot, entry_pages
-    from repro.analysis.stringtaint import StringTaintAnalysis
+    from repro.analysis.analyzer import analyze_entry, entry_pages
 
     root = Path(project_root).resolve()
     if pages is None:
@@ -287,18 +287,14 @@ def remediate_project(
         work: list[tuple[str, object, object, object]] = []
         for page in pages:
             with PERF.timer("remediate.analyze"):
-                analysis = StringTaintAnalysis(
-                    root, parse_cache=parse_cache, policies=policies
+                _, result, analyzed = analyze_entry(
+                    root, root / page, policies=policies,
+                    parse_cache=parse_cache,
                 )
-                result = analysis.analyze_file(root / page)
-                reports = [
-                    _check_spot(result.grammar, spot, policies)
-                    for spot in result.hotspots
-                ]
             report.page_results.append(
-                SimpleNamespace(page=page, reports=reports)
+                SimpleNamespace(page=page, reports=analyzed.reports)
             )
-            for spot, spot_report in zip(result.hotspots, reports):
+            for spot, spot_report in zip(result.hotspots, analyzed.reports):
                 for finding in spot_report.findings:
                     if not finding.safe:
                         work.append((page, result, spot, finding))
@@ -529,7 +525,7 @@ def fix_main(argv: list[str] | None = None) -> int:
     if not root.is_dir():
         print(f"error: {root} is not a directory", file=sys.stderr)
         return EXIT_USAGE
-    policies = None
+    policies = DEFAULT_CONFIG
     if args.policy_config:
         from repro.analysis.policies import (
             PolicyConfigError,

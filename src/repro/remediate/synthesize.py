@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis import sources as sink_tables
+from repro.analysis.policies.config import DEFAULT_CONFIG, PolicyConfig
 from repro.php import ast
 
 #: machine-readable reasons a candidate kind is inapplicable
@@ -167,24 +167,19 @@ def render_expr(expr: ast.Expr) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _sink_argument_index(sink: str, policies) -> int | None:
+def _sink_argument_index(sink: str, policies: PolicyConfig) -> int | None:
     """Which argument of ``sink`` carries the checked string."""
     if sink.startswith("->"):
         return 0
     index = sink_tables.query_argument_index(sink)
     if index is not None:
         return index
-    if policies is not None:
-        for name, entries in policies.function_sink_table().items():
-            if name == sink:
-                return entries[0][1]
-    if sink in sink_tables.SHELL_FUNCTIONS:
-        return sink_tables.SHELL_FUNCTIONS[sink]
-    return None
+    entries = policies.function_sink_table().get(sink)
+    return entries[0][1] if entries else None
 
 
 def find_sink_argument(
-    tree: ast.File, line: int, sink: str, policies=None
+    tree: ast.File, line: int, sink: str, policies: PolicyConfig = DEFAULT_CONFIG
 ) -> ast.Expr | None:
     """The query-argument expression of the ``sink`` call at ``line``."""
     index = _sink_argument_index(sink, policies)
@@ -329,7 +324,7 @@ def synthesize_prepared(
     source_text: str,
     tree: ast.File,
     finding,
-    policies=None,
+    policies: PolicyConfig = DEFAULT_CONFIG,
 ) -> tuple[Patch | None, str]:
     """The prepared-statement candidate for ``finding``, or a reason."""
     arg = find_sink_argument(tree, finding.line, finding.sink, policies)

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.policies.config import DEFAULT_CONFIG, PolicyConfig
 from repro.obs.metrics import PERF
 from repro.php import ast
 from repro.php.parser import PhpParseError, parse
@@ -268,7 +269,9 @@ class Workspace:
         self.map_path(original_file).write_text(text)
 
 
-def analyze_tree(root: Path, pages: list[str], policies=None) -> Counter:
+def analyze_tree(
+    root: Path, pages: list[str], policies: PolicyConfig = DEFAULT_CONFIG
+) -> Counter:
     """Unsafe-finding multiset of ``root`` (serial, uncached — the
     verifier must see exactly the current bytes on disk)."""
     from repro.analysis.analyzer import run_pages
@@ -287,7 +290,7 @@ def verify_patch(
     target_keys: list[FindingKey],
     pages: list[str],
     baseline: Counter,
-    policies=None,
+    policies: PolicyConfig = DEFAULT_CONFIG,
     oracle_findings: list[tuple[str, object]] | None = None,
 ) -> tuple[Verification, Counter]:
     """Apply ``patch`` on the workspace, verify, and either keep it

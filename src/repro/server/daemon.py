@@ -68,6 +68,7 @@ from pathlib import Path
 from repro.obs.metrics import PERF
 from repro.analysis.analyzer import PageResult, entry_pages, run_pages
 from repro.analysis.diskcache import RESOLVER_EXTENSIONS
+from repro.analysis.policies.config import DEFAULT_CONFIG, PolicyConfig
 from repro.analysis.reports import UNSOUND_CAVEATS, json_document
 from repro.analysis.sarif import render_sarif
 from repro.php.includes import IncludeResolver
@@ -243,12 +244,12 @@ class AnalysisDaemon:
         jobs: int | None = 1,
         cache_dir: str | Path | None = None,
         cache_max_mb: float | None = None,
-        policies=None,
+        policies: PolicyConfig = DEFAULT_CONFIG,
     ) -> None:
         self.jobs = jobs if jobs and jobs >= 1 else 1
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.cache_max_mb = cache_max_mb
-        #: optional PolicyConfig; fixed for the daemon's lifetime, so the
+        #: the PolicyConfig, fixed for the daemon's lifetime, so the
         #: (page, audit) memo key needs no policy component — the config
         #: digest still keys the on-disk cache through run_pages
         self.policies = policies
@@ -913,7 +914,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     if args.socket is None and args.port is None:
         parser.error("one of --socket or --port is required")
 
-    policies = None
+    policies = DEFAULT_CONFIG
     if args.policy_config:
         from repro.analysis.policies import PolicyConfigError, load_policy_config
 

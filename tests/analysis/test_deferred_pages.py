@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import absdom
 from repro.analysis.analyzer import run_pages
-from repro.analysis.policies import PolicyConfig
+from repro.analysis.policies import DEFAULT_CONFIG, PolicyConfig
 from repro.analysis.policies.registry import REGISTRY
 from repro.analysis.policy import VERDICT_CACHE
 from repro.analysis.reports import json_document
@@ -91,7 +91,7 @@ def _run(root, page, config, defer):
 @pytest.mark.parametrize("page", sorted(PAGES))
 @pytest.mark.parametrize("policies", ["sql", "all"])
 def test_document_matches_a_run_that_never_defers(app, page, policies):
-    config = None if policies == "sql" else PolicyConfig(enabled=tuple(REGISTRY))
+    config = DEFAULT_CONFIG if policies == "sql" else PolicyConfig(enabled=tuple(REGISTRY))
     document, sarif, counts = _run(app, page, config, defer=True)
     eager_document, eager_sarif, eager_counts = _run(app, page, config, defer=False)
     assert document == eager_document

@@ -56,7 +56,7 @@ class TestValidConfigs:
         config = load_policy_config(path)
         assert config.enabled == ("sql", "shell", "path")
         assert ("shell", "run_command", 0) in config.extra_sinks
-        assert config.source_label("_ENV") == "direct"
+        assert ("_ENV", "direct") in config.extra_sources
         assert ("run_command", (("shell", 0),)) in (
             config.function_sink_table().items()
         )
@@ -67,7 +67,7 @@ class TestValidConfigs:
 
     def test_duplicates_collapse(self):
         config = config_from_dict({"policies": ["shell", "shell"]})
-        assert config.enabled == ("shell",)
+        assert config.enabled == ("sql", "shell")
 
     def test_in_tree_example_validates(self):
         config = load_policy_config(REPO_ROOT / "examples" / "policies.yaml")

@@ -123,6 +123,25 @@ def ref_partition(sets: Sequence[Intervals]) -> list[Intervals]:
     return classes
 
 
+def partition_charsets(sets: Sequence[CharSet]) -> list[CharSet]:
+    """:func:`ref_partition` over :class:`CharSet` values: every input
+    set is a union of some of the returned disjoint, nonempty classes
+    (the alphabet refinement of :func:`ref_determinize` and
+    :func:`ref_minimize`)."""
+    boundaries: set[int] = set()
+    for s in sets:
+        for lo, hi in s.intervals:
+            boundaries.add(lo)
+            boundaries.add(hi + 1)
+    cuts = sorted(boundaries)
+    classes = []
+    for lo, next_lo in zip(cuts, cuts[1:]):
+        piece = CharSet([(lo, next_lo - 1)])
+        if any(piece.overlaps(s) for s in sets):
+            classes.append(piece)
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # the original subset construction and Moore minimization
 # ---------------------------------------------------------------------------
@@ -135,7 +154,6 @@ def ref_determinize(nfa):
     reaches, and parallel edges merged at the end."""
     from collections import deque
 
-    from repro.lang.charset import partition_charsets
     from repro.lang.fsa import DFA
 
     dfa = DFA()
@@ -172,7 +190,6 @@ def ref_minimize(dfa):
     """Moore's partition refinement over the live states, each state's
     signature its block and the blocks it reaches on every class of the
     refined alphabet."""
-    from repro.lang.charset import partition_charsets
     from repro.lang.fsa import DFA
 
     live = dfa.live_states()

@@ -11,8 +11,9 @@ from repro.lang.charset import (
     MAX_CODEPOINT,
     SPACE,
     WORD,
-    partition_charsets,
 )
+
+from .reference import partition_charsets
 
 
 def small_charsets():

@@ -15,7 +15,8 @@ import threading
 import pytest
 
 from repro.analysis.absdom import GrammarBuilder
-from repro.analysis.analyzer import _check_spot, entry_pages
+from repro.analysis import analyzer
+from repro.analysis.analyzer import entry_pages
 from repro.analysis.policies import PolicyConfig
 from repro.analysis.policies.base import contains_any
 from repro.analysis.policies.registry import REGISTRY
@@ -165,7 +166,7 @@ def test_paused_operations_build_no_cycles(tmp_path):
     gc.disable()
     try:
         for grammar, spot in hotspots:
-            _check_spot(grammar, spot, config)
+            analyzer.check_hotspot(grammar, spot, config)
         builder = GrammarBuilder(widen_threshold=12)
         value = builder.join(
             [builder.literal("a'b\"c"), builder.charset_star(CharSet.of("ab'<"))]

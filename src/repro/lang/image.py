@@ -25,7 +25,6 @@ take a :class:`DeferredImage` instead (DESIGN §5o).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from typing import Iterable
 
 from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
@@ -33,7 +32,7 @@ from repro.obs.metrics import PERF
 from .charset import CharSet
 from .fst import FST, FSTExplosion, map_marker_charset, render_output
 from .grammar import Grammar, Lit, Nonterminal, Rhs, Symbol, closure_of
-from .pairs import Pair, PairTable, Triple, trim_materialized
+from .pairs import PairTable, Rows, bits, count_pairs, trim_materialized
 
 
 #: How one generated nonterminal's name derives from the input grammar:
@@ -329,11 +328,11 @@ def _rebind_image(
 class ImagePlan(PairTable):
     """The pair fixpoint and reachable-triple prepass of one image.
 
-    ``pairs`` maps each normalized nonterminal to the ``(p, q)`` state
+    ``rows`` maps each normalized nonterminal to the ``(p, q)`` state
     pairs of the FST's input side its strings can cross; ``reachable``
-    is the set of triples ``(X, p, q)`` the image keeps, and ``ends``
-    the accepting states the root reaches from the start state.  The
-    literal runs and terminal pair sets are kept too, so materializing
+    holds the triples ``(X, p, q)`` the image keeps, as rows too, and
+    ``ends`` the accepting states the root reaches from the start state.
+    The literal runs and terminal rows are kept too, so materializing
     later repeats none of the plan's work.
     """
 
@@ -349,8 +348,8 @@ class ImagePlan(PairTable):
         # --profile instead of as silent memory growth.
         self.lit_cache: dict[tuple[str, int], dict[int, set[str]]] = {}
         self.ends: list[int] = []
-        self.reachable: set[Triple] = set()
-        self.crossings: dict[tuple[int, int, int], Symbol] | None = None
+        self.reachable: dict[Nonterminal, Rows] = {}
+        self.crossings: dict[int, tuple[Symbol, Rows]] | None = None
 
     @property
     def size(self) -> int:
@@ -358,7 +357,8 @@ class ImagePlan(PairTable):
         operand (its alias rule included): every kept triple keeps at
         least one rule — the fixpoint made it productive — and so do
         the start and the alias.  An empty image is its alias rule."""
-        return len(self.reachable) + 2 if self.reachable else 1
+        triples = count_pairs(self.reachable)
+        return triples + 2 if triples else 1
 
     def lit_runs(self, text: str, p: int) -> dict[int, set[str]]:
         key = (text, p)
@@ -367,15 +367,20 @@ class ImagePlan(PairTable):
             runs = self.lit_cache[key] = _lit_runs(self.fst, text, p)
         return runs
 
-    def term_pairs(self, symbol: Symbol) -> Iterable[Pair]:
-        if isinstance(symbol, Lit):
-            for p in self.states:
-                for q in self.lit_runs(symbol.text, p):
-                    yield (p, q)
-        else:
-            for p in self.states:
-                for q in _charset_steps(self.fst, symbol, p):
-                    yield (p, q)
+    def term_rows(self, symbol: Symbol) -> Rows:
+        row: Rows = {}
+        for p in self.states:
+            if isinstance(symbol, Lit):
+                ends = self.lit_runs(symbol.text, p)
+            else:
+                ends = [t.dst for t in self.fst.transitions.get(p, ())
+                        if symbol.overlaps(t.label)]
+            mask = 0
+            for q in ends:
+                mask |= 1 << q
+            if mask:
+                row[p] = mask
+        return row
 
 
 def plan_image(
@@ -393,16 +398,13 @@ def plan_image(
     # Only triples reachable from an accepting start pair survive the
     # final trim, so the prepass decides them before anything is built.
     with PERF.timer("image.prepass"):
-        root_pairs = plan.pairs[root]
-        plan.ends = [
-            q for q in plan.states
-            if fst.is_accepting(q) and (fst.start, q) in root_pairs
-        ]
+        root_row = plan.rows[root].get(fst.start, 0)
+        plan.ends = [q for q in bits(root_row) if fst.is_accepting(q)]
         plan.crossings = {} if summarize else None
         plan.reachable = plan.reachable_triples(
-            root, fst.start, plan.ends, plan.crossings
+            root, fst.start, sum(1 << q for q in plan.ends), plan.crossings
         )
-    PERF.gauge("image.reachable_triples", len(plan.reachable))
+    PERF.gauge("image.reachable_triples", count_pairs(plan.reachable))
     return plan
 
 
@@ -419,20 +421,25 @@ def _summarize(plan: ImagePlan) -> tuple[CharSet, frozenset[str]]:
         node_labels = plan.grammar.labels
         texts: set[str] = set()
         charsets: set[CharSet] = set()
-        for (_, p, q), symbol in plan.crossings.items():
-            if isinstance(symbol, Lit):
-                texts.update(plan.lit_runs(symbol.text, p).get(q, ()))
-                continue
-            for sequence in _charset_steps(fst, symbol, p).get(q, ()):
-                for item in sequence:
-                    if isinstance(item, Lit):
-                        texts.add(item.text)
-                    else:
-                        charsets.add(item)
+        for symbol, rows in plan.crossings.values():
+            for p, mask in rows.items():
+                if isinstance(symbol, Lit):
+                    runs = plan.lit_runs(symbol.text, p)
+                    for q in bits(mask):
+                        texts.update(runs.get(q, ()))
+                    continue
+                steps = _charset_steps(fst, symbol, p)
+                for q in bits(mask):
+                    for sequence in steps.get(q, ()):
+                        for item in sequence:
+                            if isinstance(item, Lit):
+                                texts.add(item.text)
+                            else:
+                                charsets.add(item)
         for q in plan.ends:
             texts.add(fst.final_output.get(q, ""))
         labels: set[str] = set(node_labels.get(plan.root, ()))
-        for lhs in {lhs for lhs, _, _ in plan.reachable}:
+        for lhs in plan.reachable:
             labels.update(node_labels.get(lhs, ()))
         return closure_of(texts, charsets), frozenset(labels)
 

@@ -19,14 +19,17 @@ a multi-character literal reaches exactly one ``j`` from each ``i``.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.obs.metrics import PERF
 
 from .charset import CharSet
 from .fsa import DFA
 from .grammar import Grammar, Lit, Nonterminal, Symbol
-from .pairs import Pair, PairTable, trim_materialized
+from .pairs import PairTable, Rows, trim_materialized
+
+
+#: the jump table of a state without transitions, and the rows of a
+#: nonterminal without pairs
+_EMPTY: dict = {}
 
 
 class _PairTable(PairTable):
@@ -35,50 +38,60 @@ class _PairTable(PairTable):
     def __init__(self, grammar: Grammar, dfa: DFA) -> None:
         super().__init__(grammar.normalized(), sorted(dfa.live_states()))
         self.dfa = dfa
+        self.accept_mask = sum(1 << q for q in dfa.accepts)
         # Instance-local memo, freed with the table (one table per
-        # (scope, automaton) pair): at most (distinct literal texts) ×
-        # states entries, so it needs no eviction policy — its high-water
-        # mark is surfaced via the perf gauge below.
-        self._lit_cache: dict[tuple[str, int], int | None] = {}
+        # (scope, automaton) pair): one row per distinct literal text,
+        # so it needs no eviction policy — its high-water mark is
+        # surfaced via the perf gauge below.
+        self._lit_rows: dict[str, Rows] = {}
         PERF.incr("intersect.fixpoint_iterations", self.solve())
-        PERF.gauge("intersect.lit_cache.max_size", len(self._lit_cache))
+        PERF.gauge("intersect.lit_cache.max_size", len(self._lit_rows))
 
-    def lit_target(self, text: str, state: int) -> int | None:
-        key = (text, state)
-        if key not in self._lit_cache:
-            self._lit_cache[key] = self.dfa.run_string(state, text)
-        return self._lit_cache[key]
+    def lit_row(self, text: str) -> Rows:
+        """Where ``text`` takes each live state, run once per table
+        (ASCII characters straight through the DFA's jump tables)."""
+        row = self._lit_rows.get(text)
+        if row is None:
+            row = self._lit_rows[text] = {}
+            jumps, step = self.dfa._step_tables(), self.dfa.step
+            for i in self.states:
+                state = i
+                for ch in text:
+                    state = jumps.get(state, _EMPTY).get(ch) if ch < "\x80" else step(state, ch)
+                    if state is None:
+                        break
+                else:
+                    row[i] = 1 << state
+        return row
 
-    def term_pairs(self, symbol: Symbol) -> Iterable[Pair]:
+    def term_rows(self, symbol: Symbol) -> Rows:
         if isinstance(symbol, Lit):
-            for i in self.states:
-                j = self.lit_target(symbol.text, i)
-                if j is not None:
-                    yield (i, j)
-        else:  # CharSet
-            for i in self.states:
-                for label, j in self.dfa.transitions.get(i, ()):
-                    if symbol.overlaps(label):
-                        yield (i, j)
+            return self.lit_row(symbol.text)
+        row: Rows = {}
+        for i in self.states:  # CharSet
+            mask = 0
+            for label, j in self.dfa.transitions.get(i, ()):
+                if symbol.overlaps(label):
+                    mask |= 1 << j
+            if mask:
+                row[i] = mask
+        return row
 
     def term_symbol(self, symbol: Symbol, i: int, j: int) -> Symbol | None:
         """The (i, j)-restriction of a terminal: a literal that drives
         i → j, or the characters of a charset that do."""
         if type(symbol) is Lit:
-            return symbol if self.lit_target(symbol.text, i) == j else None
+            return symbol if self.lit_row(symbol.text).get(i, 0) >> j & 1 else None
         refined = CharSet.empty()
         for label, dst in self.dfa.transitions.get(i, ()):
             if dst == j:
                 refined = refined.union(symbol.intersect(label))
         return refined if refined else None
 
-    def accepts_from(self, root: Nonterminal) -> bool:
-        """Some string of ``root`` drives the DFA from start to accept."""
-        pairs = self.pairs.get(root)
-        if not pairs:
-            return False
-        start = self.dfa.start
-        return any((start, qf) in pairs for qf in self.dfa.accepts)
+    def accepts_from(self, root: Nonterminal) -> int:
+        """The accepting states some string of ``root`` drives the DFA
+        to from its start, as a mask (0 when there are none)."""
+        return self.rows.get(root, _EMPTY).get(self.dfa.start, 0) & self.accept_mask
 
 
 def _pair_table(grammar: Grammar, dfa: DFA) -> _PairTable:
@@ -118,7 +131,7 @@ def intersect(
     triples that derive from an accepting start pair are built.
     """
     table = _pair_table(grammar, dfa)
-    ends = [qf for qf in dfa.accepts if (dfa.start, qf) in table.pairs[root]]
+    ends = table.accepts_from(root)
     result = Grammar()
     get_triple = table.materialize(
         result,
@@ -130,6 +143,7 @@ def intersect(
     result.start = start
     for label in table.grammar.labels.get(root, ()):
         result.add_label(start, label)
-    for qf in ends:
-        result.add(start, (get_triple(root, dfa.start, qf),))
+    for qf in dfa.accepts:
+        if ends >> qf & 1:
+            result.add(start, (get_triple(root, dfa.start, qf),))
     return trim_materialized(result, start), start

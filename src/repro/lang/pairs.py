@@ -13,8 +13,13 @@ the labels of ``X``.  :class:`PairTable` runs its three steps for both:
    one;
 3. the *materialization* of exactly those triples.
 
+Every relation is held bit-parallel, as :data:`Rows`: one integer per
+start state ``i`` whose bit ``j`` says the pair ``(i, j)`` is in it.
+The join ``A·B`` is then row by row: row ``i`` of the result is the OR
+of ``B[j]`` over the set bits ``j`` of ``A[i]``.
+
 Only two things differ between the callers, and each passes them in: a
-subclass's :meth:`PairTable.term_pairs` says which pairs a terminal
+subclass's :meth:`PairTable.term_rows` says which pairs a terminal
 crosses (a DFA run, or the input side of an FST), and the ``mint`` and
 ``term_symbol`` functions given to :meth:`PairTable.materialize` say how
 a kept triple is named and a kept terminal is written out.
@@ -23,53 +28,53 @@ a kept triple is named and a kept terminal is written out.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .grammar import Grammar, Nonterminal, Rhs, Symbol
 
-Pair = tuple[int, int]
-Triple = tuple[Nonterminal, int, int]
+#: start state → bitmask of the end states paired with it
+Rows = dict[int, int]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def count_pairs(rows_of: dict[Nonterminal, Rows]) -> int:
+    """How many triples a ``nonterminal → rows`` map holds."""
+    return sum(mask.bit_count() for rows in rows_of.values() for mask in rows.values())
 
 
 class PairTable:
-    """State-pair sets per nonterminal of a normalized grammar.
+    """State-pair rows per nonterminal of a normalized grammar.
 
-    ``pairs`` is filled by :meth:`solve`; a table is read-only after
-    that.  Terminal pair sets are computed once per symbol and shared by
-    all three steps.
+    ``rows`` is filled by :meth:`solve`; a table is read-only after
+    that.  Terminal rows are computed once per symbol and shared by all
+    three steps.
     """
 
     def __init__(self, grammar: Grammar, states: Sequence[int]) -> None:
         self.grammar = grammar
         self.states = states
-        self.pairs: dict[Nonterminal, set[Pair]] = defaultdict(set)
-        self.term_cache: dict[int, set[Pair]] = {}
-        self._starts: dict[int, dict[int, list[int]]] = {}
+        self.rows: dict[Nonterminal, Rows] = defaultdict(dict)
+        self.term_cache: dict[int, Rows] = {}
 
-    def term_pairs(self, symbol: Symbol) -> Iterable[Pair]:
+    def term_rows(self, symbol: Symbol) -> Rows:
         """The pairs the terminal ``symbol`` crosses (the caller's step)."""
         raise NotImplementedError
 
-    def sym_pairs(self, symbol: Symbol) -> set[Pair]:
-        if isinstance(symbol, Nonterminal):
-            return self.pairs[symbol]
+    def sym_rows(self, symbol: Symbol) -> Rows:
+        if type(symbol) is Nonterminal:
+            return self.rows[symbol]
         key = id(symbol)
         found = self.term_cache.get(key)
         if found is None:
-            found = self.term_cache[key] = set(self.term_pairs(symbol))
+            found = self.term_cache[key] = self.term_rows(symbol)
         return found
-
-    def by_start(self, symbol: Symbol) -> dict[int, list[int]]:
-        """``symbol``'s solved pairs indexed by start state, in the pair
-        set's own iteration order."""
-        key = id(symbol)
-        index = self._starts.get(key)
-        if index is None:
-            index = {}
-            for i, j in self.sym_pairs(symbol):
-                index.setdefault(i, []).append(j)
-            self._starts[key] = index
-        return index
 
     # -- 1. pair fixpoint ----------------------------------------------------
 
@@ -92,39 +97,27 @@ class PairTable:
                         if isinstance(symbol, Nonterminal):
                             parents[symbol].append(lhs)
             self.grammar._memo_set(("occ_lhs",), parents)
-        sym_pairs = self.sym_pairs
-        states = self.states
-
-        # id(symbol) -> [pair-count at build time, start -> [ends]];
-        # rebuilt only while the symbol's pair set is still growing
-        by_start_cache: dict[int, list] = {}
-
-        def by_start_of(symbol: Symbol) -> dict[int, list[int]]:
-            found = sym_pairs(symbol)
-            key = id(symbol)
-            cached = by_start_cache.get(key)
-            if cached is not None and cached[0] == len(found):
-                return cached[1]
-            index: dict[int, list[int]] = {}
-            for j, k in found:
-                index.setdefault(j, []).append(k)
-            by_start_cache[key] = [len(found), index]
-            return index
-
-        def eval_rhs(rhs: Rhs) -> set[Pair]:
-            if not rhs:
-                return {(i, i) for i in states}
-            if len(rhs) == 1:
-                return set(sym_pairs(rhs[0]))
-            left = sym_pairs(rhs[0])
-            by_start = by_start_of(rhs[1])
-            out: set[Pair] = set()
-            for i, j in left:
-                ks = by_start.get(j)
-                if ks:
-                    for k in ks:
-                        out.add((i, k))
-            return out
+        rows = self.rows
+        sym_rows = self.sym_rows
+        identity = {i: 1 << i for i in self.states}
+        # every rule as [left rows, right rows (None if unary), its
+        # nonterminal operands (None for a terminal or none), the clock at
+        # its last run]; rows are resolved once, a nonterminal's being
+        # one dict grown in place
+        compiled: dict[Nonterminal, list[list]] = {}
+        for lhs, rhss in rules.items():
+            entries = compiled[lhs] = []
+            for rhs in rhss:
+                first, second = (rhs + (None, None))[:2]
+                entries.append([sym_rows(first) if rhs else identity,
+                                sym_rows(second) if second is not None else None,
+                                first if type(first) is Nonterminal else None,
+                                second if type(second) is Nonterminal else None, -1])
+        # the clock ticks whenever a nonterminal gains pairs; a rule whose
+        # operands gained none since its last run would add nothing, so
+        # it is skipped (a rule over terminals alone runs once)
+        clock = 0
+        changed_at: dict[Nonterminal | None, int] = defaultdict(int)
 
         worklist = list(rules)
         queued = set(worklist)
@@ -134,13 +127,34 @@ class PairTable:
             lhs = worklist.pop()
             queued.discard(lhs)
             added = False
-            target = self.pairs[lhs]
-            for rhs in rules.get(lhs, ()):
-                before = len(target)
-                target |= eval_rhs(rhs)
-                if len(target) != before:
-                    added = True
+            target = rows[lhs]
+            for rule in compiled[lhs]:
+                left, right, first, second, seen = rule
+                if seen >= 0 and changed_at[first] <= seen and changed_at[second] <= seen:
+                    continue
+                rule[4] = clock
+                if right is None:
+                    produced = left.items() if left is not target else ()
+                else:
+                    # the join, taken whole before it is merged, since it
+                    # may read the lhs's own rows
+                    produced = []
+                    for i, mask in left.items():
+                        row = 0
+                        while mask:
+                            low = mask & -mask
+                            row |= right.get(low.bit_length() - 1, 0)
+                            mask ^= low
+                        if row:
+                            produced.append((i, row))
+                for i, row in produced:
+                    old = target.get(i, 0)
+                    if row | old != old:
+                        target[i] = row | old
+                        added = True
             if added:
+                clock += 1
+                changed_at[lhs] = clock
                 for parent in parents.get(lhs, ()):
                     if parent not in queued:
                         queued.add(parent)
@@ -153,93 +167,101 @@ class PairTable:
         self,
         root: Nonterminal,
         start: int,
-        ends: Iterable[int],
-        crossings: dict[tuple[int, int, int], Symbol] | None = None,
-    ) -> set[Triple]:
+        ends: int,
+        crossings: dict[int, tuple[Symbol, Rows]] | None = None,
+    ) -> dict[Nonterminal, Rows]:
         """The triples reachable top-down from ``(root, start, q)`` for
-        every accepting ``q`` in ``ends``.
+        every accepting ``q`` in the mask ``ends``, as rows.
 
         A body of ``X_{ij}`` references ``Y_{i,mid}`` / ``B_{mid,j}`` only
         when both sides cross solved pairs, which the table decides
         alone.  The fixpoint made every triple productive, so these are
         exactly the triples a full trim of the eager product would keep.
+        The walk carries end-state masks: a popped ``(X, i, ends)``
+        holds only the ends not seen before at ``(X, i)``.
 
         With ``crossings``, the walk also records the terminal crossings
-        of the kept bodies, keyed ``(id(t), i, j)``: a lone terminal's
+        of the kept bodies, as ``id(t) → (t, rows)``: a lone terminal's
         under its triple's own pair (whether or not it crosses it), and
         each terminal side of a kept two-symbol body.
         """
-        pairs = self.pairs
-        members: set[Triple] = set()
-        stack: list[Triple] = []
-        for q in ends:
-            members.add((root, start, q))
-            stack.append((root, start, q))
+        sym_rows = self.sym_rows
+        productions = self.grammar.productions
+        kept: dict[Nonterminal, Rows] = {}
+        stack: list[tuple[Nonterminal, int, int]] = []
+
+        def reach(symbol: Symbol, i: int, mask: int) -> None:
+            """Keep the triples ``(symbol, i, j)`` for ``j`` in ``mask``,
+            or record a terminal's crossings."""
+            if not mask:
+                return
+            if type(symbol) is Nonterminal:
+                row = kept.get(symbol)
+                if row is None:
+                    row = kept[symbol] = {}
+                new = mask & ~row.get(i, 0)
+                if new:
+                    row[i] = row.get(i, 0) | new
+                    stack.append((symbol, i, new))
+            elif crossings is not None:
+                row = crossings.setdefault(id(symbol), (symbol, {}))[1]
+                row[i] = row.get(i, 0) | mask
+
+        # each lhs's nonempty rules as (first, second, first's rows,
+        # second's rows or None if unary), resolved on first visit
+        compiled: dict[Nonterminal, list[tuple]] = {}
+        reach(root, start, ends)
         while stack:
-            lhs, i, j = stack.pop()
-            for rhs in self.grammar.productions.get(lhs, ()):
-                if not rhs:
+            lhs, i, ends = stack.pop()
+            prepared = compiled.get(lhs)
+            if prepared is None:
+                prepared = compiled[lhs] = [
+                    (rhs[0], rhs[-1], sym_rows(rhs[0]),
+                     sym_rows(rhs[1]) if len(rhs) == 2 else None)
+                    for rhs in productions.get(lhs, ()) if rhs
+                ]
+            for first, second, first_rows, second_rows in prepared:
+                if second_rows is None:
+                    nt = type(first) is Nonterminal
+                    reach(first, i, first_rows.get(i, 0) & ends if nt else ends)
                     continue
-                if len(rhs) == 1:
-                    symbol = rhs[0]
-                    if type(symbol) is Nonterminal:
-                        if (i, j) in pairs[symbol]:
-                            succ = (symbol, i, j)
-                            if succ not in members:
-                                members.add(succ)
-                                stack.append(succ)
-                    elif crossings is not None:
-                        crossings[(id(symbol), i, j)] = symbol
-                    continue
-                first, second = rhs
-                second_pairs = self.sym_pairs(second)
-                first_is_nt = type(first) is Nonterminal
-                second_is_nt = type(second) is Nonterminal
-                collect = crossings is not None and not (first_is_nt and second_is_nt)
-                for mid in self.by_start(first).get(i, ()):
-                    if (mid, j) not in second_pairs:
-                        continue
-                    if first_is_nt:
-                        succ = (first, i, mid)
-                        if succ not in members:
-                            members.add(succ)
-                            stack.append(succ)
-                    if second_is_nt:
-                        succ = (second, mid, j)
-                        if succ not in members:
-                            members.add(succ)
-                            stack.append(succ)
-                    if collect:
-                        if not first_is_nt:
-                            crossings[(id(first), i, mid)] = first
-                        if not second_is_nt:
-                            crossings[(id(second), mid, j)] = second
-        return members
+                # the splits ``mid`` with a kept body, gathered for one
+                # reach of the left side
+                left = 0
+                for mid in bits(first_rows.get(i, 0)):
+                    hit = second_rows.get(mid, 0) & ends
+                    if hit:
+                        left |= 1 << mid
+                        reach(second, mid, hit)
+                reach(first, i, left)
+        return kept
 
     # -- 3. materialization --------------------------------------------------
 
     def materialize(
         self,
         result: Grammar,
-        members: set[Triple],
+        kept: dict[Nonterminal, Rows],
         mint: Callable[[Nonterminal, int, int], Nonterminal],
         term_symbol: Callable[[Symbol, int, int], Symbol | None],
     ) -> Callable[[Nonterminal, int, int], Nonterminal]:
-        """Write the rules of every member triple into ``result``.
+        """Write the rules of every kept triple into ``result``.
 
         ``mint(X, i, j)`` creates the nonterminal of a triple in
         ``result``; ``term_symbol(t, i, j)`` is the output of terminal
         ``t`` across ``(i, j)``, or None when it has none.  Triples are
-        visited in normalized-rule order, then pair-set order, the order
-        the eager construction used, so members get exactly the rules it
-        gave them.  A member's pair always has a valid body; the only
-        triples left without rules are orphans minted for one side of a
-        dropped body, which :func:`trim_materialized` filters out.
-        Returns the triple lookup, for the caller's start rules.
+        visited in normalized-rule order, then ascending ``i`` and ``j``,
+        and a two-symbol body's splits in ascending ``mid``, so creation
+        order is a function of the relation alone.  A kept triple always
+        has a valid body; the only triples left without rules are
+        orphans minted for the left side of a dropped body, which
+        :func:`trim_materialized` filters out.  Returns the triple
+        lookup, for the caller's start rules.
         """
         normalized = self.grammar
-        pairs = self.pairs
-        triple: dict[Triple, Nonterminal] = {}
+        rows = self.rows
+        sym_rows = self.sym_rows
+        triple: dict[tuple[Nonterminal, int, int], Nonterminal] = {}
 
         def get_triple(nt: Nonterminal, i: int, j: int) -> Nonterminal:
             key = (nt, i, j)
@@ -255,45 +277,38 @@ class PairTable:
 
         def rhs_symbol(symbol: Symbol, i: int, j: int) -> Symbol | None:
             if type(symbol) is Nonterminal:
-                if (i, j) in pairs[symbol]:
+                if rows[symbol].get(i, 0) >> j & 1:
                     return get_triple(symbol, i, j)
                 return None
             return term_symbol(symbol, i, j)
 
         for lhs, rhss in normalized.productions.items():
-            # Pre-dispatch each rhs once per lhs instead of once per state
-            # pair; the prepared tuples carry no side effects, so hoisting
-            # them leaves triple creation order unchanged.
-            prepared: list[tuple] | None = None
-            for i, j in pairs[lhs]:
-                if (lhs, i, j) not in members:
-                    continue
-                if prepared is None:
-                    prepared = []
-                    for rhs in rhss:
-                        if not rhs:
-                            prepared.append((0, None, None, None))
-                        elif len(rhs) == 1:
-                            prepared.append((1, rhs[0], None, None))
-                        else:
-                            first, second = rhs
-                            prepared.append((2, first, second, self.by_start(first)))
-                lhs_triple = get_triple(lhs, i, j)
-                bodies: list[Rhs] = []
-                for kind, first, second, index in prepared:
-                    if kind == 2:
-                        for mid in index.get(i, ()):
-                            left = rhs_symbol(first, i, mid)
-                            right = rhs_symbol(second, mid, j)
-                            if left is not None and right is not None:
-                                bodies.append((left, right))
-                    elif kind == 1:
-                        restricted = rhs_symbol(first, i, j)
-                        if restricted is not None:
-                            bodies.append((restricted,))
-                    elif i == j:
-                        bodies.append(())
-                result._bulk_add(lhs_triple, bodies)
+            kept_rows = kept.get(lhs)
+            if not kept_rows:
+                continue
+            for i in sorted(kept_rows):
+                # each two-symbol body's splits from ``i``, ascending
+                splits = [
+                    list(bits(sym_rows(rhs[0]).get(i, 0))) if len(rhs) == 2 else ()
+                    for rhs in rhss
+                ]
+                for j in bits(kept_rows[i]):
+                    lhs_triple = get_triple(lhs, i, j)
+                    bodies: list[Rhs] = []
+                    for rhs, mids in zip(rhss, splits):
+                        if len(rhs) == 2:
+                            for mid in mids:
+                                left = rhs_symbol(rhs[0], i, mid)
+                                right = rhs_symbol(rhs[1], mid, j)
+                                if left is not None and right is not None:
+                                    bodies.append((left, right))
+                        elif rhs:
+                            restricted = rhs_symbol(rhs[0], i, j)
+                            if restricted is not None:
+                                bodies.append((restricted,))
+                        elif i == j:
+                            bodies.append(())
+                    result._bulk_add(lhs_triple, bodies)
         return get_triple
 
 

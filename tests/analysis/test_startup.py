@@ -40,6 +40,17 @@ STACK = (
     "repro.lang.image",
 )
 
+#: the corpus apps and their manifests, which only corpus builds need
+CORPUS_APPS = tuple(
+    f"repro.corpus.{name}" for name in ("e107", "eve", "tiger", "unp", "warp", "manifest")
+)
+
+#: the policies a default (SQL only) run never enables
+OTHER_POLICIES = tuple(
+    f"repro.analysis.policies.{name}"
+    for name in ("xss", "xss_context", "shell", "evalinj", "path")
+)
+
 #: runs ``repro.analysis.cli`` as ``python -m`` would, and writes the
 #: names of the loaded modules to argv[1] from an ``atexit`` handler —
 #: which also shows the exit-time freeze leaves ``atexit`` working
@@ -116,6 +127,19 @@ class TestLazyImports:
             "assert StringTaintAnalysis.__module__ == 'repro.analysis.stringtaint'"
         )
         assert "repro.analysis.stringtaint" in modules
+
+    def test_fuzz_import_loads_no_corpus_app(self):
+        """The fuzz oracle's page generator comes without the five
+        corpus apps and their manifests."""
+        modules = imported_by("import repro.oracle.fuzz")
+        assert "repro.corpus.generator" in modules
+        assert modules.isdisjoint(CORPUS_APPS), modules & set(CORPUS_APPS)
+
+    def test_default_run_loads_only_the_sql_policy(self, app_root, tmp_path):
+        proc, modules = loaded_modules(tmp_path, str(app_root), "--json", "--jobs", "1")
+        assert proc.returncode in (0, 1, 3), proc.stderr
+        assert "repro.analysis.policies.sql" in modules
+        assert modules.isdisjoint(OTHER_POLICIES), modules & set(OTHER_POLICIES)
 
     def test_unknown_name_is_an_attribute_error(self):
         import repro

@@ -408,6 +408,205 @@ def _round_robin_pairs(rules, states, pairs, sym_pairs) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the set-based pair kernel
+# ---------------------------------------------------------------------------
+
+
+class RefPairTable:
+    """The pair kernel before its relations became bit rows: a
+    ``set[(i, j)]`` per nonterminal, a worklist fixpoint that re-joins
+    whole sets pair by pair, and a top-down prepass over single
+    triples.  ``term_pairs(symbol)`` is the terminal step (see
+    :func:`_dfa_term_pairs` and :func:`_fst_term_pairs`)."""
+
+    def __init__(self, grammar, states, term_pairs) -> None:
+        from collections import defaultdict
+
+        self.grammar = grammar
+        self.states = states
+        self.term_pairs = term_pairs
+        self.pairs = defaultdict(set)
+        self._starts: dict = {}
+
+    def sym_pairs(self, symbol) -> set[tuple[int, int]]:
+        if isinstance(symbol, Nonterminal):
+            return self.pairs[symbol]
+        return self.term_pairs(symbol)
+
+    def by_start(self, symbol) -> dict[int, list[int]]:
+        key = id(symbol)
+        index = self._starts.get(key)
+        if index is None:
+            index = {}
+            for i, j in self.sym_pairs(symbol):
+                index.setdefault(i, []).append(j)
+            self._starts[key] = index
+        return index
+
+    def solve(self) -> int:
+        from collections import defaultdict
+
+        rules = self.grammar.productions
+        parents = defaultdict(list)
+        for lhs, rhss in rules.items():
+            for rhs in rhss:
+                for symbol in rhs:
+                    if isinstance(symbol, Nonterminal):
+                        parents[symbol].append(lhs)
+        sym_pairs = self.sym_pairs
+
+        def eval_rhs(rhs) -> set[tuple[int, int]]:
+            if not rhs:
+                return {(i, i) for i in self.states}
+            if len(rhs) == 1:
+                return set(sym_pairs(rhs[0]))
+            by_start: dict[int, list[int]] = {}
+            for j, k in sym_pairs(rhs[1]):
+                by_start.setdefault(j, []).append(k)
+            return {
+                (i, k) for i, j in sym_pairs(rhs[0]) for k in by_start.get(j, ())
+            }
+
+        worklist = list(rules)
+        queued = set(worklist)
+        iterations = 0
+        while worklist:
+            iterations += 1
+            lhs = worklist.pop()
+            queued.discard(lhs)
+            added = False
+            target = self.pairs[lhs]
+            for rhs in rules.get(lhs, ()):
+                before = len(target)
+                target |= eval_rhs(rhs)
+                if len(target) != before:
+                    added = True
+            if added:
+                for parent in parents.get(lhs, ()):
+                    if parent not in queued:
+                        queued.add(parent)
+                        worklist.append(parent)
+        return iterations
+
+    def reachable_triples(self, root, start, ends, crossings=None) -> set:
+        """Kept triples ``(X, i, j)``; ``crossings`` collects terminal
+        crossings as ``(id(t), i, j) → t``."""
+        pairs = self.pairs
+        members = set()
+        stack = []
+        for q in ends:
+            members.add((root, start, q))
+            stack.append((root, start, q))
+        while stack:
+            lhs, i, j = stack.pop()
+            for rhs in self.grammar.productions.get(lhs, ()):
+                if not rhs:
+                    continue
+                if len(rhs) == 1:
+                    symbol = rhs[0]
+                    if isinstance(symbol, Nonterminal):
+                        if (i, j) in pairs[symbol] and (symbol, i, j) not in members:
+                            members.add((symbol, i, j))
+                            stack.append((symbol, i, j))
+                    elif crossings is not None:
+                        crossings[(id(symbol), i, j)] = symbol
+                    continue
+                first, second = rhs
+                second_pairs = self.sym_pairs(second)
+                for mid in self.by_start(first).get(i, ()):
+                    if (mid, j) not in second_pairs:
+                        continue
+                    for symbol, p, q in ((first, i, mid), (second, mid, j)):
+                        if isinstance(symbol, Nonterminal):
+                            if (symbol, p, q) not in members:
+                                members.add((symbol, p, q))
+                                stack.append((symbol, p, q))
+                        elif crossings is not None:
+                            crossings[(id(symbol), p, q)] = symbol
+        return members
+
+
+def _fst_term_pairs(fst):
+    """The FST terminal step: the pairs of the transducer's input side
+    each terminal crosses, per symbol (literal runs raise
+    :class:`~repro.lang.fst.FSTExplosion` as the analysis's do)."""
+    from repro.lang.image import _charset_steps, _lit_runs
+
+    term_cache: dict[int, set[tuple[int, int]]] = {}
+
+    def term_pairs(symbol) -> set[tuple[int, int]]:
+        key = id(symbol)
+        if key not in term_cache:
+            found = set()
+            for p in range(fst.num_states):
+                if isinstance(symbol, Lit):
+                    ends = _lit_runs(fst, symbol.text, p)
+                else:
+                    ends = _charset_steps(fst, symbol, p)
+                found.update((p, q) for q in ends)
+            term_cache[key] = found
+        return term_cache[key]
+
+    return term_pairs
+
+
+def ref_summary(fst, grammar, root, ends, members, crossings):
+    """``(charset closure, labels)`` of a planned image, read off the
+    set-based prepass's kept triples and ``(id, p, q)`` crossings."""
+    from repro.lang.grammar import closure_of
+    from repro.lang.image import _charset_steps, _lit_runs
+
+    texts: set[str] = set()
+    charsets: set[CharSet] = set()
+    for (_, p, q), symbol in crossings.items():
+        if isinstance(symbol, Lit):
+            texts.update(_lit_runs(fst, symbol.text, p).get(q, ()))
+            continue
+        for sequence in _charset_steps(fst, symbol, p).get(q, ()):
+            for item in sequence:
+                if isinstance(item, Lit):
+                    texts.add(item.text)
+                else:
+                    charsets.add(item)
+    for q in ends:
+        texts.add(fst.final_output.get(q, ""))
+    labels = set(grammar.labels.get(root, ()))
+    for lhs, _, _ in members:
+        labels.update(grammar.labels.get(lhs, ()))
+    return closure_of(texts, charsets), frozenset(labels)
+
+
+def pairs_of_rows(rows) -> dict:
+    """``nonterminal → set[(i, j)]`` of a row map, as a
+    ``defaultdict(set)`` that holds no empty set."""
+    from collections import defaultdict
+
+    pairs = defaultdict(set)
+    for nt, row in rows.items():
+        for i, mask in row.items():
+            for j in range(mask.bit_length()):
+                if mask >> j & 1:
+                    pairs[nt].add((i, j))
+    return pairs
+
+
+def triples_of_rows(rows) -> set:
+    """The ``(X, i, j)`` triples of a row map."""
+    return {(nt, i, j) for nt, found in pairs_of_rows(rows).items() for i, j in found}
+
+
+def crossings_of_rows(crossings) -> dict:
+    """Row-form crossings ``id → (t, rows)`` as ``(id, i, j) → t``."""
+    return {
+        (key, i, j): symbol
+        for key, (symbol, rows) in crossings.items()
+        for i, mask in rows.items()
+        for j in range(mask.bit_length())
+        if mask >> j & 1
+    }
+
+
+# ---------------------------------------------------------------------------
 # the original eager FST-image construction
 # ---------------------------------------------------------------------------
 
@@ -494,7 +693,7 @@ def ref_fst_image(grammar, root, fst):
 
     def build(kept):
         """Materialize the triples of ``kept`` (every triple if None)
-        in rule order, then pair-set order; trim."""
+        in rule order, then ascending pairs; trim."""
         result = Grammar()
         triple: dict[tuple[NT, int, int], NT] = {}
         term_triple: dict[tuple[int, int, int], NT] = {}
@@ -542,7 +741,7 @@ def ref_fst_image(grammar, root, fst):
             return None
 
         for lhs, rhss in rules.items():
-            for p, q in pairs[lhs]:
+            for p, q in sorted(pairs[lhs]):
                 if kept is not None and (lhs, p, q) not in kept:
                     continue
                 lhs_triple = get_triple(lhs, p, q)
@@ -557,7 +756,7 @@ def ref_fst_image(grammar, root, fst):
                             result.add(lhs_triple, (restricted,))
                         continue
                     first, second = rhs
-                    for p2, mid in sym_pairs(first):
+                    for p2, mid in sorted(sym_pairs(first)):
                         if p2 != p:
                             continue
                         left = rhs_symbol(first, p, mid)
@@ -639,10 +838,10 @@ def ref_intersect(grammar, root, dfa, pairs=None):
     trim.  Returns ``(result, start)``.
 
     The pairs come from :func:`ref_intersect_pairs` unless ``pairs`` is
-    given.  Rule order within a triple follows the pair sets' iteration
-    order, which depends on how a fixpoint inserted them, so pass the
-    analysis's own solved pairs to check that the optimized build gives
-    every kept triple the same name, labels and rules in the same order.
+    given.  Triples are visited in rule order, then ascending pairs, and
+    a two-symbol body's splits in ascending ``mid``: the kernel's order,
+    which depends only on the relation, never on how a fixpoint
+    inserted it.
     """
     from repro.lang.charset import CharSet
     from repro.lang.grammar import Grammar, Lit
@@ -680,7 +879,7 @@ def ref_intersect(grammar, root, dfa, pairs=None):
         return refined if refined else None
 
     for lhs, rhss in normalized.productions.items():
-        for i, j in pairs[lhs]:
+        for i, j in sorted(pairs[lhs]):
             lhs_triple = get_triple(lhs, i, j)
             for rhs in rhss:
                 if not rhs:
@@ -692,7 +891,7 @@ def ref_intersect(grammar, root, dfa, pairs=None):
                         result.add(lhs_triple, (restricted,))
                 else:
                     first, second = rhs
-                    for i2, mid in sym_pairs(first):
+                    for i2, mid in sorted(sym_pairs(first)):
                         if i2 != i:
                             continue
                         left = rhs_symbol(first, i, mid)

@@ -8,6 +8,7 @@ original, simple implementations; these tests drive both sides with
 randomized inputs and require agreement.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from . import reference as ref
@@ -18,10 +19,16 @@ from repro.lang.earley import (
     char_token_grammar,
     parse_sentential_form,
 )
-from repro.lang.fst import FST
+from repro.lang.fsa import DFA
+from repro.lang.fst import FST, FSTExplosion
 from repro.lang.grammar import Grammar, Lit, Nonterminal
-from repro.lang.image import fst_image
-from repro.lang.intersect import _pair_table, intersect, intersection_is_empty
+from repro.lang.image import ImagePlan, _summarize, fst_image, plan_image
+from repro.lang.intersect import (
+    _PairTable,
+    _pair_table,
+    intersect,
+    intersection_is_empty,
+)
 from repro.lang.regex import full_match_language, parse_regex, search_language
 from repro.obs.metrics import PERF
 from repro.sql import bridge
@@ -295,7 +302,7 @@ class TestIntersectReference:
         """Building only the triples reachable from an accepting start
         pair keeps every kept triple's name, labels and rules, for the
         scope start and every other root."""
-        pairs = _pair_table(g, dfa).pairs
+        pairs = ref.pairs_of_rows(_pair_table(g, dfa).rows)
         for root in list(g.productions):
             fast, fast_start = intersect(g, root, dfa)
             slow, slow_start = ref.ref_intersect(g, root, dfa, pairs=pairs)
@@ -313,11 +320,11 @@ class TestIntersectReference:
     @settings(max_examples=100, deadline=None)
     def test_pair_fixpoint_matches_naive(self, g, dfa):
         """The kernel's worklist fixpoint reaches the same pair sets as a
-        naive round-robin one; built from those, every root's product has
-        the same triples with the same rules (up to rule order, which
-        follows each fixpoint's insertion order) and the same language."""
+        naive round-robin one, read through the rows; built from those,
+        every root's product has the same triples with the same rules
+        and the same language."""
         naive = ref.ref_intersect_pairs(g, dfa)
-        solved = _pair_table(g, dfa).pairs
+        solved = ref.pairs_of_rows(_pair_table(g, dfa).rows)
         assert {nt: s for nt, s in solved.items() if s} == {
             nt: s for nt, s in naive.items() if s
         }
@@ -374,6 +381,120 @@ class TestSharedPairTables:
             assert [x.name for x in shared.productions] == [
                 x.name for x in fresh.productions
             ]
+
+
+# -- bit rows vs. the set-based pair kernel ----------------------------------
+
+
+def _sparse(dfa: DFA, stride: int = 7, offset: int = 130) -> DFA:
+    """``dfa`` with every state ``s`` renumbered ``stride * s + offset``:
+    the same language over sparse state ids, all far above bit 64."""
+    out = DFA()
+    out.num_states = stride * dfa.num_states + offset
+    out.start = stride * dfa.start + offset
+    out.accepts = {stride * q + offset for q in dfa.accepts}
+    for src, edges in dfa.transitions.items():
+        out.transitions[stride * src + offset] = [
+            (label, stride * dst + offset) for label, dst in edges
+        ]
+    return out
+
+
+def _keywords_dfa() -> DFA:
+    """The SQL bridge's keyword DFA: 400 states."""
+    bridge._ensure_dfas()
+    return bridge._KEYWORDS_DFA
+
+
+#: SQL leaves plus non-ASCII text, which the literal walk runs per state
+ROW_LEAF = st.one_of(
+    SQL_LEAF, st.sampled_from((Lit("é"), Lit("x'é"), CharSet.of("éa")))
+)
+
+ROW_DFAS = DFAS + [_keywords_dfa(), _sparse(_keywords_dfa()), _sparse(DFAS[0])]
+
+#: a 70-state KMP transducer, so FST rows run past bit 64 too
+ROW_FSTS = FSTS + [FST.replace_string("ab" * 35, "X")]
+
+
+class TestRowKernelReference:
+    @given(random_grammar(leaf=ROW_LEAF), st.sampled_from(ROW_DFAS))
+    @settings(max_examples=80, deadline=None)
+    def test_dfa_rows_match_set_kernel(self, g, dfa):
+        """Against a DFA, the rows hold the set kernel's pair relation,
+        and the prepass keeps its triples and crossings, for every
+        root."""
+        before = PERF.counters.get("intersect.fixpoint_iterations", 0)
+        table = _PairTable(g, dfa)
+        iterations = PERF.counters.get("intersect.fixpoint_iterations", 0) - before
+        states = sorted(dfa.live_states())
+        slow = ref.RefPairTable(
+            g.normalized(), states, ref._dfa_term_pairs(dfa, states)
+        )
+        # the same worklist, visit for visit
+        assert slow.solve() == iterations
+        assert ref.pairs_of_rows(table.rows) == {
+            nt: s for nt, s in slow.pairs.items() if s
+        }
+        for root in g.productions:
+            ends = [qf for qf in dfa.accepts if (dfa.start, qf) in slow.pairs[root]]
+            assert table.accepts_from(root) == sum(1 << q for q in ends)
+            crossings, slow_crossings = {}, {}
+            kept = table.reachable_triples(
+                root, dfa.start, table.accepts_from(root), crossings
+            )
+            slow_kept = slow.reachable_triples(root, dfa.start, ends, slow_crossings)
+            assert ref.triples_of_rows(kept) == slow_kept
+            assert ref.crossings_of_rows(crossings) == slow_crossings
+
+    @given(random_grammar(leaf=ROW_LEAF), st.sampled_from(ROW_FSTS))
+    @settings(max_examples=60, deadline=None)
+    def test_image_plan_matches_set_kernel(self, g, fst):
+        """An image plan's rows, ends, kept triples, crossings, summary
+        and size equal the set kernel's, for every root."""
+        for root in g.productions:
+            plan = plan_image(g, root, fst, summarize=True)
+            normalized = g.normalized(root)
+            slow = ref.RefPairTable(
+                normalized, range(fst.num_states), ref._fst_term_pairs(fst)
+            )
+            assert slow.solve() == ImagePlan(g, root, fst).solve()
+            assert ref.pairs_of_rows(plan.rows) == {
+                nt: s for nt, s in slow.pairs.items() if s
+            }
+            ends = [
+                q for q in range(fst.num_states)
+                if fst.is_accepting(q) and (fst.start, q) in slow.pairs[root]
+            ]
+            assert plan.ends == ends
+            crossings = {}
+            kept = slow.reachable_triples(root, fst.start, ends, crossings)
+            assert ref.triples_of_rows(plan.reachable) == kept
+            assert ref.crossings_of_rows(plan.crossings) == crossings
+            assert plan.size == (len(kept) + 2 if kept else 1)
+            assert _summarize(plan) == ref.ref_summary(
+                fst, normalized, root, ends, kept, crossings
+            )
+
+    def test_exploding_literal_raises_at_plan_time(self):
+        """A literal with more than 64 transducer outputs raises
+        :class:`FSTExplosion` from the plan, before anything is built."""
+        fst = FST()
+        state = fst.new_state()
+        for out in ("x", "y"):
+            fst.add_transition(state, CharSet.any_char(), (out,), state)
+        g = Grammar()
+        root = g.fresh("S")
+        g.start = root
+        g.add(root, (Lit("abcdefg"), root))
+        g.add(root, ())
+        with pytest.raises(FSTExplosion):
+            plan_image(g, root, fst)
+        slow = ref.RefPairTable(
+            g.normalized(root), range(fst.num_states), ref._fst_term_pairs(fst)
+        )
+        with pytest.raises(FSTExplosion):
+            slow.solve()
 
 
 def _separate_token_class(g: Grammar, nt):
